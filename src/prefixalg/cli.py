@@ -21,6 +21,7 @@ from .selftest import run_selftest
 from .session import Session
 from .witnesses import (
     IdealWitness,
+    SoundnessError,
     VanishingTrace,
     WitnessError,
     ZeroReport,
@@ -174,9 +175,12 @@ def _run(args, out) -> int:
             for step in result.steps:
                 print(step.to_line(), file=out)
             return OK
-        print(result.to_text(), end="", file=out)
+        # Prove the state value first, so a failure prints no trace.
+        value = None
         if prot.state is not None:
             value = check_state_vanishes(prot.state, reg, prot, pivot, word)
+        print(result.to_text(), end="", file=out)
+        if value is not None:
             print(f"state-value {value.to_text()}", file=out)
         if args.out:
             Path(args.out).write_text(result.to_text(), encoding="utf-8")
@@ -274,10 +278,10 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except (ParseError, UsageError, ValueError, KeyError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except WitnessError as exc:
+    except (WitnessError, SoundnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

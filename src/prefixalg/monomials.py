@@ -150,12 +150,6 @@ def act_word(word: Iterable[Monomial], x: SequenceDesc) -> Optional[SequenceDesc
     return y
 
 
-def monomial_labels(m: Monomial) -> set[int]:
-    if m is ZERO:
-        return set()
-    return set(m.dom) | set(m.ran)
-
-
 def format_monomial(m: Monomial) -> str:
     if m is ZERO:
         return "0"

@@ -81,10 +81,16 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Deeper parenthesis nesting is refused with a ParseError rather than left
+# to exhaust the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -171,8 +177,12 @@ class _Parser:
                 )
             return Iso(dom, ran)
         if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise self.fail(f"parentheses nested deeper than {MAX_NESTING} levels")
             self.next()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise self.fail(f"expected a scalar, P(...), V(...;...) or parenthesized "

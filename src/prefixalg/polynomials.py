@@ -26,8 +26,11 @@ class Scalar:
     im: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # Arithmetic results arrive as Fractions already; convert the rest.
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def of(value: "ScalarLike") -> "Scalar":
@@ -101,7 +104,6 @@ class Scalar:
 ScalarLike = Union[Scalar, int, Fraction]
 
 ONE = Scalar(Fraction(1))
-I_UNIT = Scalar(Fraction(0), Fraction(1))
 
 
 class Polynomial:
@@ -419,27 +421,17 @@ class FragmentMatrix:
         )
 
     def is_positive_semidefinite(self) -> bool:
-        """Exact semidefiniteness by rational Schur-complement elimination.
+        """Exact semidefiniteness, judged block by block.
 
-        A Hermitian matrix is PSD iff every pivot stays nonnegative and a
-        zero pivot forces a zero row and column; no floating point involved.
+        The matrix is block diagonal over the connected components of its
+        nonzero pattern, and it is PSD iff every block is. Each block goes
+        through rational Schur-complement elimination: a Hermitian matrix is
+        PSD iff every pivot stays nonnegative and a zero pivot forces a zero
+        row and column; no floating point involved.
         """
         if not self.is_hermitian():
             return False
-        n = self.size()
-        work = [[self.rows[i][j] for j in range(n)] for i in range(n)]
-        for k in range(n):
-            d = work[k][k]
-            if d.im != 0 or d.re < 0:
-                return False
-            if d.re == 0:
-                if any(work[k][j] for j in range(k + 1, n)):
-                    return False
-                continue
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    work[i][j] = work[i][j] - work[i][k] * work[k][j] / d
-        return True
+        return all(_schur_psd(self.rows, block) for block in _blocks(self.rows))
 
     def to_text(self) -> str:
         """Row-major exact text: header line, then one row per line."""
@@ -450,6 +442,53 @@ class FragmentMatrix:
         for row in self.rows:
             lines.append(" ".join(c.to_text() for c in row))
         return "\n".join(lines)
+
+
+def _blocks(rows: tuple[tuple[Scalar, ...], ...]) -> list[list[int]]:
+    """Connected components of the nonzero pattern of a Hermitian matrix,
+    each in ascending index order, ordered by their least index."""
+    n = len(rows)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, frontier = [], [start]
+        while frontier:
+            i = frontier.pop()
+            block.append(i)
+            for j, c in enumerate(rows[i]):
+                if c and not seen[j]:
+                    seen[j] = True
+                    frontier.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _schur_psd(rows: tuple[tuple[Scalar, ...], ...], block: list[int]) -> bool:
+    """Exact Schur-complement elimination of the Hermitian block `block`."""
+    work = [[rows[i][j] for j in block] for i in block]
+    n = len(work)
+    for k in range(n):
+        pivot = work[k]
+        d = pivot[k]
+        if d.im != 0 or d.re < 0:
+            return False
+        if d.re == 0:
+            if any(pivot[k + 1:]):
+                return False
+            continue
+        inverse = Scalar(1 / d.re)
+        cols = [j for j in range(k + 1, n) if pivot[j]]
+        for i in range(k + 1, n):
+            row = work[i]
+            if not row[k]:
+                continue
+            factor = row[k] * inverse
+            for j in cols:
+                row[j] = row[j] - factor * pivot[j]
+    return True
 
 
 class DiagonalState:

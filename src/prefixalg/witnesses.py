@@ -481,6 +481,15 @@ def vanishing_witness(
     )
 
 
+def _horizon_problem(trace: VanishingTrace, prot: ProtectionRecord) -> Optional[str]:
+    """Name the trace's overshoot when a step carrier is deeper than the
+    protection's horizon; None when the horizon covers every step."""
+    reached = max((len(step.carrier) for step in trace.steps), default=0)
+    if reached <= prot.horizon:
+        return None
+    return f"the trace reaches depth {reached} but the protection horizon is {prot.horizon}"
+
+
 def check_state_vanishes(
     rho: DiagonalState,
     reg: Registry,
@@ -503,12 +512,9 @@ def check_state_vanishes(
     nf = normal_form(word)
     if isinstance(result, ZeroReport):
         return Scalar(Fraction(0))
-    reached = max(len(step.carrier) for step in result.steps)
-    if reached > prot.horizon:
-        raise HorizonError(
-            f"the trace reaches depth {reached} but the protection horizon "
-            f"is {prot.horizon}"
-        )
+    problem = _horizon_problem(result, prot)
+    if problem:
+        raise HorizonError(problem)
     if rho.evaluate(Polynomial.projection(result.carrier)):
         raise SoundnessError("state has mass on the carrier cylinder")
     value = rho.evaluate(Polynomial.of(nf))
@@ -711,18 +717,22 @@ def parse_trace_text(text: str) -> VanishingTrace:
 
 
 def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
-    """Re-run the whole induction against the registry and compare."""
+    """Check the horizon, then re-run the whole induction against the
+    registry and compare."""
     problems: list[str] = []
     try:
         prot = reg.protection_by_stage(trace.prot_stage)
     except KeyError:
         return VerifyReport(False, [f"no protection at stage {trace.prot_stage}"])
+    horizon_problem = _horizon_problem(trace, prot)
+    if horizon_problem:
+        problems.append(horizon_problem)
     try:
         result = vanishing_witness(reg, prot, trace.pivot, list(trace.word))
     except (WitnessError, SoundnessError) as exc:
-        return VerifyReport(False, [f"re-derivation failed: {exc}"])
+        return VerifyReport(False, problems + [f"re-derivation failed: {exc}"])
     if isinstance(result, ZeroReport):
-        return VerifyReport(False, ["the recorded word normalizes to zero"])
+        return VerifyReport(False, problems + ["the recorded word normalizes to zero"])
     if result.steps != trace.steps or result.carrier != trace.carrier:
         problems.append("re-derived trace differs from the recorded one")
     return VerifyReport(ok=not problems, problems=problems)

@@ -1,6 +1,9 @@
 import io
 
 from prefixalg.cli import main
+from prefixalg.monomials import V, projection
+from prefixalg.session import Session
+from prefixalg.witnesses import vanishing_witness
 
 
 def run(*argv):
@@ -94,6 +97,26 @@ def test_lemma2_unregistered_factor(tmp_path):
     assert code == 1
 
 
+def test_over_horizon_trace_fails_quietly_and_is_rejected(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    run("--session", session, "register-state", "1@(5)/0", "1")
+    run("--session", session, "link", "(0)", "(6)")
+    capsys.readouterr()
+    code, text = run("--session", session, "lemma2", "0", "V((0,0);(6,0)) P((0))")
+    assert code == 1 and text == ""
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["error: the trace reaches depth 2 but the protection horizon is 1"]
+
+    reg = Session.load(session).registry
+    prot = reg.protection_by_stage(0)
+    trace = vanishing_witness(reg, prot, (0,), [V((0, 0), (6, 0)), projection((0,))])
+    trace_path = tmp_path / "trace.txt"
+    trace_path.write_text(trace.to_text())
+    code, text = run("--session", session, "verify", str(trace_path))
+    assert code == 1
+    assert "problem the trace reaches depth 2 but the protection horizon is 1" in text.splitlines()
+
+
 def test_prime_witness_and_verify(tmp_path):
     session = str(tmp_path / "s.txt")
     cert_path = str(tmp_path / "cert.txt")
@@ -181,3 +204,22 @@ def test_unknown_file_header(tmp_path):
     path.write_text("nonsense\n")
     code, _ = run("verify", str(path))
     assert code == 2
+
+
+def test_verify_directory_is_usage_error(tmp_path, capsys):
+    code, text = run("verify", str(tmp_path))
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    code, text = run("normalize", "(" * 1200 + "P((1))" + ")" * 1200)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: parentheses nested deeper than 100 levels (line 1, column 101)"
+    ]
+    code, text = run("normalize", "(" * 100 + "P((1))" + ")" * 100)
+    assert code == 0 and text.strip() == "P((1))"

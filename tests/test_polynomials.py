@@ -9,6 +9,8 @@ from prefixalg.cylinders import SequenceDesc
 from prefixalg.monomials import V, act
 from prefixalg.polynomials import (
     DiagonalState,
+    FragmentIndex,
+    FragmentMatrix,
     Polynomial,
     Scalar,
     format_state,
@@ -385,6 +387,79 @@ def test_psd_rejects_negative_and_indefinite():
     entries = [e for row in flip.rows for e in row]
     assert entries.count(one) == 2 and entries.count(zero) == 2
     assert not flip.is_positive_semidefinite()
+
+
+def dense_psd(rows):
+    """Oracle: Schur-complement elimination of the whole Hermitian matrix."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    for k in range(n):
+        d = work[k][k]
+        if d.im != 0 or d.re < 0:
+            return False
+        if d.re == 0:
+            if any(work[k][j] for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = work[i][j] - work[i][k] * work[k][j] / d
+    return True
+
+
+def random_block(rng, kind):
+    """A Hermitian block: a Gram matrix B*B (often singular), the same with
+    one diagonal entry pushed negative, or a Gram matrix with a zero pivot
+    beside a nonzero off-diagonal entry."""
+    size = rng.randint(1, 4)
+    rank = rng.randint(1, size)
+    b = [
+        [Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))) for _ in range(size)]
+        for _ in range(rank)
+    ]
+    gram = [
+        [sum((b[k][i].conjugate() * b[k][j] for k in range(rank)), Scalar(Fraction(0)))
+         for j in range(size)]
+        for i in range(size)
+    ]
+    if kind == "pushed":
+        t = rng.randrange(size)
+        gram[t][t] = Scalar(-gram[t][t].re - 1)
+    elif kind == "zero-pivot":
+        c = Scalar(Fraction(rng.choice([-2, -1, 1, 2])), Fraction(rng.randint(-1, 1)))
+        zero = Scalar(Fraction(0))
+        gram = [[zero] * (size + 1)] + [[zero] + row for row in gram]
+        t = rng.randint(1, size)
+        gram[0][t] = c
+        gram[t][0] = c.conjugate()
+    return gram
+
+
+def test_block_psd_matches_dense_oracle():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(80):
+        kinds = [rng.choice(["gram", "gram", "gram", "pushed", "zero-pivot"])
+                 for _ in range(rng.randint(1, 5))]
+        blocks = [random_block(rng, kind) for kind in kinds]
+        n = sum(len(block) for block in blocks)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[Scalar(Fraction(0))] * n for _ in range(n)]
+        offset = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                for j, c in enumerate(row):
+                    rows[perm[offset + i]][perm[offset + j]] = c
+            offset += len(block)
+        index = FragmentIndex(tuples=tuple((k,) for k in range(n)), level=1, pad=n)
+        matrix = FragmentMatrix(index=index, rows=tuple(tuple(r) for r in rows))
+        assert matrix.is_hermitian()
+        verdict = matrix.is_positive_semidefinite()
+        assert verdict == dense_psd(matrix.rows)
+        assert verdict == all(kind == "gram" for kind in kinds)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_fragment_matrix_text():

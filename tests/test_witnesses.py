@@ -300,6 +300,9 @@ def test_horizon_insufficiency_reported():
     assert trace.depth > prot.horizon
     with pytest.raises(HorizonError):
         check_state_vanishes(rho, reg, prot, pivot, word)
+    report = verify_trace(trace, reg)
+    assert not report
+    assert report.problems == ["the trace reaches depth 2 but the protection horizon is 1"]
 
 
 def test_state_mismatch_rejected():
