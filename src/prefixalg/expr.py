@@ -117,7 +117,7 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _monomial_node(m: V) -> Expr:
+def monomial_node(m: V) -> Expr:
     if m.dom == m.ran:
         return Proj(m.dom)
     return Iso(m.dom, m.ran)
@@ -134,7 +134,7 @@ def from_polynomial(p: Polynomial) -> Expr:
         return ScalarLit(Scalar(Fraction(0)))
     terms: list[tuple[int, Expr]] = []
     for m, c in p.sorted_terms():
-        node = _monomial_node(m)
+        node = monomial_node(m)
         if c.im == 0:
             sign = 1 if c.re > 0 else -1
             mag = abs(c.re)

@@ -184,6 +184,10 @@ class _Parser:
             inner = self.expr()
             self.depth -= 1
             self.expect(")")
+            if isinstance(inner, Sum) and all(isinstance(t, ScalarLit) for _, t in inner.terms):
+                # A printed complex literal such as (1/2+i) reads back as one
+                # scalar, so it prints back as it was written.
+                return ScalarLit(sum(t.value if sign > 0 else -t.value for sign, t in inner.terms))
             return inner
         raise self.fail(f"expected a scalar, P(...), V(...;...) or parenthesized "
                         f"expression, found {tok.text or 'end of input'!r}")

@@ -73,9 +73,6 @@ class Scalar:
     def abs_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 

@@ -14,6 +14,7 @@ log of requests reproduces the registry bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -97,15 +98,86 @@ class RegistryError(Exception):
     """A structurally invalid registry or session file."""
 
 
+class LabelIndex:
+    """Which labels the records block at each depth, built by reading each
+    record once.
+
+    `used[n]` maps a label to the first generator stage whose dom or ran
+    carries it at coordinate n, so "used by a generator up to stage s" is
+    `first_use(n, label) <= s`. `protected[n]` holds the labels protected
+    tuples carry at coordinate n. `free[n]` is the least label blocked by
+    neither as last seen; both only grow, so it never moves back. `stages`
+    maps each issued (dom, ran) pair to its generator stages. `size` and
+    `last` say how much of a record list has been read.
+    """
+
+    __slots__ = ("used", "protected", "free", "stages", "size", "last")
+
+    def __init__(self) -> None:
+        self.used: dict[int, dict[int, int]] = {}
+        self.protected: dict[int, set[int]] = {}
+        self.free: dict[int, int] = {}
+        self.stages: dict[tuple[Tup, Tup], list[int]] = {}
+        self.size = 0
+        self.last: Optional[Record] = None
+
+    def add(self, rec: Record) -> None:
+        if isinstance(rec, GeneratorRecord):
+            for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
+                used = self.used.setdefault(n, {})
+                for label in pair:
+                    used.setdefault(label, rec.stage)
+            self.stages.setdefault((rec.dom, rec.ran), []).append(rec.stage)
+        else:
+            for c in rec.tuples:
+                for n, label in enumerate(c, start=1):
+                    self.protected.setdefault(n, set()).add(label)
+        self.size += 1
+        self.last = rec
+
+    def first_use(self, n: int, label: int) -> float:
+        """The first generator stage carrying the label at coordinate n, or
+        infinity when no generator does."""
+        return self.used.get(n, {}).get(label, math.inf)
+
+    def least_free(self, n: int) -> int:
+        """The least label that no indexed record blocks at coordinate n."""
+        used, protected = self.used.get(n, {}), self.protected.get(n, ())
+        label = self.free.get(n, 0)
+        while label in used or label in protected:
+            label += 1
+        self.free[n] = label
+        return label
+
+
 class Registry:
     """The ordered log of generator and protection records."""
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "_index")
 
     def __init__(self) -> None:
         self.records: list[Record] = []
+        self._index = LabelIndex()
 
     # -- queries -------------------------------------------------------
+
+    def labels(self) -> LabelIndex:
+        """The label index of the records as they stand now.
+
+        The record list is edited from outside as well (replay appends
+        protections, callers truncate it or append records by hand), so the
+        index is caught up here rather than kept by the mutations: when the
+        list only grew past the last indexed record, the new tail is indexed;
+        otherwise the index is rebuilt from scratch.
+        """
+        index, records = self._index, self.records
+        if index.size > len(records) or (
+            index.size and records[index.size - 1] is not index.last
+        ):
+            index = self._index = LabelIndex()
+        for rec in records[index.size:]:
+            index.add(rec)
+        return index
 
     def generators(self, up_to_stage: Optional[int] = None) -> Iterator[GeneratorRecord]:
         for rec in self.records:
@@ -114,48 +186,17 @@ class Registry:
             if isinstance(rec, GeneratorRecord):
                 yield rec
 
-    def protections(self, up_to_stage: Optional[int] = None) -> Iterator[ProtectionRecord]:
-        for rec in self.records:
-            if up_to_stage is not None and rec.stage > up_to_stage:
-                break
-            if isinstance(rec, ProtectionRecord):
-                yield rec
-
     def protection_by_stage(self, stage: int) -> ProtectionRecord:
-        for rec in self.records:
-            if rec.stage == stage and isinstance(rec, ProtectionRecord):
+        if 0 <= stage < len(self.records):
+            rec = self.records[stage]
+            if isinstance(rec, ProtectionRecord):
                 return rec
         raise KeyError(f"no protection record at stage {stage}")
 
     def generator_stages_matching(self, m: V) -> tuple[list[int], list[int]]:
         """Stages whose generator equals m, and stages whose adjoint does."""
-        direct, adj = [], []
-        for rec in self.generators():
-            if (rec.dom, rec.ran) == (m.dom, m.ran):
-                direct.append(rec.stage)
-            if (rec.ran, rec.dom) == (m.dom, m.ran):
-                adj.append(rec.stage)
-        return direct, adj
-
-    def _avoidance_sets(self, n: int, before_stage: int) -> tuple[set[int], set[int]]:
-        """Labels unavailable at coordinate n, judged against records before
-        the given stage: values used by earlier generators at that depth, and
-        values of protected tuples at that depth.
-        """
-        used: set[int] = set()
-        protected: set[int] = set()
-        for rec in self.records:
-            if rec.stage >= before_stage:
-                break
-            if isinstance(rec, GeneratorRecord):
-                if n <= rec.n:
-                    used.add(rec.dom[n - 1])
-                    used.add(rec.ran[n - 1])
-            else:
-                for c in rec.tuples:
-                    if n <= len(c):
-                        protected.add(c[n - 1])
-        return used, protected
+        stages = self.labels().stages
+        return list(stages.get((m.dom, m.ran), ())), list(stages.get((m.ran, m.dom), ()))
 
     # -- mutations -----------------------------------------------------
 
@@ -168,11 +209,7 @@ class Registry:
         """
         stage = len(self.records)
         n = max(len(req_dom), len(req_ran)) + 1
-        used, protected = self._avoidance_sets(n, stage)
-        blocked = used | protected
-        fresh = 0
-        while fresh in blocked:
-            fresh += 1
+        fresh = self.labels().least_free(n)
         dom = req_dom + (fresh,) * (n - len(req_dom))
         ran = req_ran + (fresh,) * (n - len(req_ran))
         rec = GeneratorRecord(
@@ -203,14 +240,10 @@ class Registry:
         """
         if prot.stage >= len(self.records) or self.records[prot.stage] != prot:
             raise ValueError("protection record does not belong to this registry")
-        blocked: set[int] = set()
-        for rec in self.generators(up_to_stage=prot.stage):
-            blocked.add(rec.dom[0])
-            blocked.add(rec.ran[0])
-        for c in prot.tuples:
-            blocked.add(c[0])
+        index = self.labels()
+        blocked = {c[0] for c in prot.tuples}
         label = 0
-        while label in blocked:
+        while label in blocked or index.first_use(1, label) <= prot.stage:
             label += 1
         return (label,)
 
@@ -222,12 +255,15 @@ class Registry:
         Checks, per generator: equal-length tuples of the recorded length,
         proper extension of the requested pair, and freshness of the final
         coordinate against all earlier generators at that depth and all
-        earlier protected tuples at that depth.
+        earlier protected tuples at that depth. The records are replayed into
+        a fresh label index, each generator checked before it is added.
         """
+        index = LabelIndex()
         for pos, rec in enumerate(self.records):
             if rec.stage != pos:
                 return AuditReport(False, f"stage {rec.stage} out of order", rec.stage)
             if not isinstance(rec, GeneratorRecord):
+                index.add(rec)
                 continue
             if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
                 return AuditReport(
@@ -242,7 +278,7 @@ class Registry:
                     f"stage {rec.stage}: tuples do not properly extend the request",
                     rec.stage,
                 )
-            used, protected = self._avoidance_sets(rec.n, rec.stage)
+            used, protected = index.used.get(rec.n, {}), index.protected.get(rec.n, ())
             for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
                 if value in used or value in protected:
                     kind = "generator label" if value in used else "protected label"
@@ -259,6 +295,7 @@ class Registry:
                 return AuditReport(
                     False, f"stage {rec.stage}: conjugation identity fails", rec.stage
                 )
+            index.add(rec)
         return AuditReport(True, "ok")
 
     # -- serialization -----------------------------------------------------

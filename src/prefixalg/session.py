@@ -37,12 +37,6 @@ class Session:
             raise ValueError(f"binding names must be identifiers, got {name!r}")
         self.bindings[name] = value
 
-    def fresh_name(self, prefix: str) -> str:
-        k = 0
-        while f"{prefix}{k}" in self.bindings:
-            k += 1
-        return f"{prefix}{k}"
-
     def to_text(self) -> str:
         lines = [HEADER]
         lines.extend(self.registry.to_text().splitlines())

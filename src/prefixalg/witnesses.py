@@ -39,6 +39,7 @@ from .expr import (
     ScalarLit,
     eval_expr,
     from_polynomial,
+    monomial_node,
     poly_text,
     print_expr,
 )
@@ -51,6 +52,7 @@ from .monomials import (
     multiply,
     normal_form,
 )
+from .parser import parse_expr, parse_word
 from .polynomials import DiagonalState, Polynomial, Scalar
 from .registry import GeneratorRecord, ProtectionRecord, Registry, parse_record_line
 
@@ -122,10 +124,7 @@ def ideal_projection_witness(
     n = q.max_tuple_len() + 1
     head = x.head(n - 1)
     blocked = {t[n - 1] for t in q.tuples() if len(t) >= n}
-    for prot in reg.protections():
-        for c in prot.tuples:
-            if len(c) >= n:
-                blocked.add(c[n - 1])
+    blocked |= reg.labels().protected.get(n, set())
     fresh = 0
     while fresh in blocked:
         fresh += 1
@@ -178,20 +177,12 @@ class PrimenessCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _monomial_expr(m: V) -> Expr:
-    if m.dom == m.ran:
-        return Proj(m.dom)
-    from .expr import Iso
-
-    return Iso(m.dom, m.ran)
-
-
 def primeness_witness(
     reg: Registry, w1: IdealWitness, w2: IdealWitness
 ) -> PrimenessCertificate:
     """Link the two witness cylinders and assemble the joint certificate."""
     rec = reg.link(w1.alpha, w2.alpha)
-    v_node = _monomial_expr(V(rec.dom, rec.ran))
+    v_node = monomial_node(V(rec.dom, rec.ran))
     half1 = (
         ScalarLit(Scalar(Fraction(1)) / w1.scalar),
         v_node,
@@ -324,8 +315,15 @@ def _classify_word(
     return classified
 
 
+def _generator_step(
+    position: int, case: str, carrier: Tup, stage: int, direct: list[int]
+) -> TraceStep:
+    """A step through a generator factor, marked adjoint when the stage
+    issued the factor's adjoint rather than the factor itself."""
+    return TraceStep(position, case, carrier, stage, adjoint=stage not in direct)
+
+
 def _narrate(
-    reg: Registry,
     prot: ProtectionRecord,
     pivot: Tup,
     word: list[Monomial],
@@ -366,28 +364,12 @@ def _narrate(
                 )
             stage = max(direct + adj)
             carrier = m.ran + carrier[depth:]
-            steps.append(
-                TraceStep(
-                    position=i + 1,
-                    case=CASE_PREFIX_REWRITE,
-                    carrier=carrier,
-                    stage=stage,
-                    adjoint=stage not in direct,
-                )
-            )
+            steps.append(_generator_step(i + 1, CASE_PREFIX_REWRITE, carrier, stage, direct))
         else:
             late = [s for s in direct + adj if s > prot.stage]
             if not late:
                 stage = max(direct + adj)
-                steps.append(
-                    TraceStep(
-                        position=i + 1,
-                        case=CASE_EARLY_ORTHOGONAL,
-                        carrier=carrier,
-                        stage=stage,
-                        adjoint=stage not in direct,
-                    )
-                )
+                steps.append(_generator_step(i + 1, CASE_EARLY_ORTHOGONAL, carrier, stage, direct))
                 if expect_nonzero:
                     raise SoundnessError(
                         "nonzero word blocked by a pre-protection generator"
@@ -400,30 +382,20 @@ def _narrate(
                 )
             stage = max(late)
             carrier = m.ran
-            steps.append(
-                TraceStep(
-                    position=i + 1,
-                    case=CASE_LATE_DOMINATES,
-                    carrier=carrier,
-                    stage=stage,
-                    adjoint=stage not in direct,
-                )
-            )
+            steps.append(_generator_step(i + 1, CASE_LATE_DOMINATES, carrier, stage, direct))
     return steps, carrier, ""
 
 
 def _check_carrier(
     reg: Registry, prot: ProtectionRecord, carrier: Tup, suffix_nf: Monomial
 ) -> None:
-    """The three claim properties, checked by direct scan, for one carrier."""
+    """The three claim properties for one carrier."""
     n = len(carrier)
     if multiply(V(carrier, carrier), suffix_nf) != suffix_nf:
         raise SoundnessError("carrier projection does not absorb the product")
-    for rec in reg.generators(up_to_stage=prot.stage):
-        if n <= rec.n and (rec.dom[n - 1] == carrier[-1] or rec.ran[n - 1] == carrier[-1]):
-            raise SoundnessError(
-                f"carrier coordinate {n} collides with generator stage {rec.stage}"
-            )
+    first = reg.labels().first_use(n, carrier[-1])
+    if first <= prot.stage:
+        raise SoundnessError(f"carrier coordinate {n} collides with generator stage {first}")
     for c in prot.tuples:
         if n <= len(c) and c[n - 1] == carrier[-1]:
             raise SoundnessError(
@@ -452,7 +424,7 @@ def vanishing_witness(
     classified = _classify_word(reg, pivot, word)
     nf = normal_form(word)
     if nf is ZERO:
-        steps, _, reason = _narrate(reg, prot, pivot, word, classified, False)
+        steps, _, reason = _narrate(prot, pivot, word, classified, False)
         return ZeroReport(
             word=tuple(word),
             pivot=pivot,
@@ -460,16 +432,13 @@ def vanishing_witness(
             steps=tuple(steps),
             reason=reason or "the factors multiply to the zero operator",
         )
-    steps, carrier, _ = _narrate(reg, prot, pivot, word, classified, True)
+    steps, carrier, _ = _narrate(prot, pivot, word, classified, True)
     assert carrier is not None
     # Verify the claim for every step against its suffix product, not just
     # at the end; the suffix normal forms are rebuilt right to left.
-    suffix_nf: list[Monomial] = [ZERO] * len(word)
-    acc: Monomial = word[-1]
-    suffix_nf[-1] = acc
+    suffix_nf: list[Monomial] = list(word)
     for i in range(len(word) - 2, -1, -1):
-        acc = multiply(word[i], acc)
-        suffix_nf[i] = acc
+        suffix_nf[i] = multiply(word[i], suffix_nf[i + 1])
     for step in steps:
         _check_carrier(reg, prot, step.carrier, suffix_nf[step.position - 1])
     return VanishingTrace(
@@ -537,8 +506,6 @@ class VerifyReport:
 
 
 def _parse_poly(text: str) -> Polynomial:
-    from .parser import parse_expr
-
     return eval_expr(parse_expr(text))
 
 
@@ -565,8 +532,6 @@ def parse_witness_block(lines: list[str], start: int) -> tuple[IdealWitness, int
         i += 1
     if i >= len(lines):
         raise ValueError("unterminated witness block")
-    from .parser import parse_expr
-
     witness = IdealWitness(
         source=_parse_poly(fields["source"]),
         alpha=parse_tuple_text(fields["alpha"]),
@@ -599,8 +564,6 @@ def parse_certificate_text(text: str) -> PrimenessCertificate:
     w2, nxt = parse_witness_block(lines, nxt)
     product_expr: Optional[Expr] = None
     claim_text: Optional[str] = None
-    from .parser import parse_expr
-
     for line in lines[nxt:]:
         line = line.strip()
         if not line:
@@ -666,8 +629,6 @@ def verify_certificate_text(text: str, reg: Optional[Registry] = None) -> Verify
 
 
 def parse_trace_lines(lines: list[str]) -> VanishingTrace:
-    from .parser import parse_word
-
     fields: dict[str, str] = {}
     steps: list[TraceStep] = []
     final: Optional[Tup] = None

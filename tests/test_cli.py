@@ -223,3 +223,13 @@ def test_deep_nesting_is_parse_error(capsys):
     ]
     code, text = run("normalize", "(" * 100 + "P((1))" + ")" * 100)
     assert code == 0 and text.strip() == "P((1))"
+
+
+def test_vanishing_tuple_negative_stage_is_usage_error(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    assert run("--session", session, "register-state", "1@(5)/0", "1")[0] == 0
+    capsys.readouterr()
+    code, text = run("--session", session, "vanishing-tuple", "-1")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "stage -1" in err

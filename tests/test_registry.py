@@ -237,3 +237,118 @@ def test_determinism_bit_for_bit():
         return reg.to_text()
 
     assert build(42) == build(42)
+
+
+# -- brute-force scans of the record list, the oracle for the label index --
+
+
+def scan_blocked(records, n, before_stage):
+    """Labels earlier generators and protected tuples carry at coordinate n."""
+    used, protected = set(), set()
+    for rec in records:
+        if rec.stage >= before_stage:
+            break
+        if isinstance(rec, GeneratorRecord):
+            if n <= rec.n:
+                used.update((rec.dom[n - 1], rec.ran[n - 1]))
+        else:
+            protected.update(c[n - 1] for c in rec.tuples if n <= len(c))
+    return used, protected
+
+
+def scan_least(blocked):
+    label = 0
+    while label in blocked:
+        label += 1
+    return label
+
+
+def scan_vanishing_tuple(records, prot):
+    blocked = {c[0] for c in prot.tuples}
+    for rec in records[: prot.stage + 1]:
+        if isinstance(rec, GeneratorRecord):
+            blocked.update((rec.dom[0], rec.ran[0]))
+    return (scan_least(blocked),)
+
+
+def scan_first_use(records, n, label):
+    for rec in records:
+        if isinstance(rec, GeneratorRecord) and n <= rec.n and label in (rec.dom[n - 1], rec.ran[n - 1]):
+            return rec.stage
+    return None
+
+
+def scan_audit(records):
+    for pos, rec in enumerate(records):
+        if rec.stage != pos:
+            return f"stage {rec.stage} out of order"
+        if isinstance(rec, GeneratorRecord):
+            used, protected = scan_blocked(records, rec.n, pos)
+            for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
+                for kind, blocked in (("generator label", used), ("protected label", protected)):
+                    if value in blocked:
+                        return f"stage {pos}: {name} reuses {kind} {value} at coordinate {rec.n}"
+    return "ok"
+
+
+def rand_request(rng):
+    return tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 3)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_label_index_matches_record_scans(seed):
+    rng = random.Random(seed)
+    reg = Registry()
+    for _ in range(120):
+        roll = rng.random()
+        records = reg.records
+        if roll < 0.45:
+            req = (rand_request(rng), rand_request(rng))
+            n = max(map(len, req)) + 1
+            expected = scan_least(set().union(*scan_blocked(records, n, len(records))))
+            assert reg.link(*req).fresh == expected
+        elif roll < 0.6:
+            reg.register_protection(rand_state(rng), rng.randint(1, 4))
+        elif roll < 0.7:
+            del records[rng.randint(0, len(records)):]
+        elif roll < 0.85:
+            # A generator appended by hand, its label possibly already blocked.
+            req = (rand_request(rng), rand_request(rng))
+            n = max(map(len, req)) + 1
+            label = rng.randint(0, 4)
+            records.append(GeneratorRecord(
+                stage=len(records), n=n,
+                dom=req[0] + (label,) * (n - len(req[0])),
+                ran=req[1] + (label,) * (n - len(req[1])),
+                requested=req, fresh=label,
+            ))
+        else:
+            tuples = tuple({rand_request(rng) + (rng.randint(0, 5),) for _ in range(2)})
+            records.append(ProtectionRecord(stage=len(records), tuples=tuples, horizon=3))
+        records = reg.records
+        for rec in records:
+            if isinstance(rec, ProtectionRecord):
+                assert reg.vanishing_tuple(rec) == scan_vanishing_tuple(records, rec)
+        for n in range(1, 6):
+            _, protected = scan_blocked(records, n, len(records))
+            assert reg.labels().protected.get(n, set()) == protected
+            for label in range(6):
+                first = scan_first_use(records, n, label)
+                assert reg.labels().first_use(n, label) == (float("inf") if first is None else first)
+        for rec in records[-3:]:
+            if isinstance(rec, GeneratorRecord):
+                m = V(rec.dom, rec.ran)
+                direct = [r.stage for r in reg.generators() if (r.dom, r.ran) == (m.dom, m.ran)]
+                adj = [r.stage for r in reg.generators() if (r.ran, r.dom) == (m.dom, m.ran)]
+                assert reg.generator_stages_matching(m) == (direct, adj)
+        assert reg.audit().message == scan_audit(records)
+
+
+def test_protection_by_stage_rejects_other_stages():
+    reg = Registry()
+    reg.link((1,), (2,))
+    prot = reg.register_protection(one_point_state((1,)), horizon=1)
+    assert reg.protection_by_stage(1) is prot
+    for stage in (-1, -2, 0, 2, 7):
+        with pytest.raises(KeyError):
+            reg.protection_by_stage(stage)

@@ -26,6 +26,9 @@ def busy_session():
     late = reg.link(pivot, (6,))
     session.bind("q1", P((1,)).scale(Fraction(1, 2)) + P((2,)).scale(Scalar(Fraction(1, 2), Fraction(1, 3))))
     session.bind("w0", ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0)))
+    # A general complex coefficient puts the literal (1/2+i) in the certificate.
+    root = Polynomial.isometry((1,), (2,)).scale(Scalar(Fraction(1, 2), Fraction(1)))
+    session.bind("w1", ideal_projection_witness(reg, root, SequenceDesc((1,), 0)))
     trace = vanishing_witness(reg, prot, pivot, [late.monomial(), projection(pivot)])
     session.bind("t0", trace)
     return session
@@ -37,7 +40,7 @@ def test_session_round_trip():
     again = Session.from_text(text)
     assert again.to_text() == text
     assert again.registry.records == session.registry.records
-    assert set(again.bindings) == {"q1", "w0", "t0"}
+    assert set(again.bindings) == {"q1", "w0", "w1", "t0"}
     assert again.bindings["q1"] == session.bindings["q1"]
     assert again.bindings["w0"].alpha == session.bindings["w0"].alpha
     assert again.bindings["t0"].carrier == session.bindings["t0"].carrier
@@ -63,13 +66,6 @@ def test_binding_names_validated():
     session = Session()
     with pytest.raises(ValueError):
         session.bind("not a name", P((1,)))
-
-
-def test_fresh_name():
-    session = Session()
-    session.bind("cert0", P((1,)))
-    assert session.fresh_name("cert") == "cert1"
-    assert session.fresh_name("t") == "t0"
 
 
 def test_load_or_new(tmp_path):
