@@ -178,7 +178,7 @@ def _run(args, out) -> int:
         # Prove the state value first, so a failure prints no trace.
         value = None
         if prot.state is not None:
-            value = check_state_vanishes(prot.state, reg, prot, pivot, word)
+            value = check_state_vanishes(prot.state, reg, prot, pivot, word, trace=result)
         print(result.to_text(), end="", file=out)
         if value is not None:
             print(f"state-value {value.to_text()}", file=out)
@@ -275,7 +275,11 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return USAGE if exc.code else OK
     try:
         return _run(args, out)
-    except (ParseError, UsageError, ValueError, KeyError, RegistryError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument; print the message.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return USAGE
+    except (ParseError, UsageError, ValueError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (WitnessError, SoundnessError) as exc:

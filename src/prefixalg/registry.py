@@ -100,54 +100,92 @@ class RegistryError(Exception):
 
 class LabelIndex:
     """Which labels the records block at each depth, built by reading each
-    record once.
+    record once and able to forget the last record read.
 
-    `used[n]` maps a label to the first generator stage whose dom or ran
-    carries it at coordinate n, so "used by a generator up to stage s" is
-    `first_use(n, label) <= s`. `protected[n]` holds the labels protected
-    tuples carry at coordinate n. `free[n]` is the least label blocked by
-    neither as last seen; both only grow, so it never moves back. `stages`
-    maps each issued (dom, ran) pair to its generator stages. `size` and
-    `last` say how much of a record list has been read.
+    `used[n]` maps a label to the position of the first generator whose dom
+    or ran carries it at coordinate n, and `protected[n]` maps a label to the
+    position of the first protection carrying it there; on every registry
+    that audits clean, positions equal stages, so "used by a generator up to
+    stage s" is `first_use(n, label) <= s`. `free[n]` is a label below which
+    every label is blocked. `stages` maps each issued (dom, ran) pair to its
+    generator stages. `records` is the indexed record list, and its first
+    `checked` records have passed audit.
     """
 
-    __slots__ = ("used", "protected", "free", "stages", "size", "last")
+    __slots__ = ("used", "protected", "free", "stages", "records", "checked")
 
     def __init__(self) -> None:
         self.used: dict[int, dict[int, int]] = {}
-        self.protected: dict[int, set[int]] = {}
+        self.protected: dict[int, dict[int, int]] = {}
         self.free: dict[int, int] = {}
         self.stages: dict[tuple[Tup, Tup], list[int]] = {}
-        self.size = 0
-        self.last: Optional[Record] = None
+        self.records: list[Record] = []
+        self.checked = 0
 
     def add(self, rec: Record) -> None:
+        # The pairs of `_blocked`, written out: this runs for every record
+        # a session load replays.
+        pos = len(self.records)
         if isinstance(rec, GeneratorRecord):
             for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
                 used = self.used.setdefault(n, {})
                 for label in pair:
-                    used.setdefault(label, rec.stage)
+                    used.setdefault(label, pos)
             self.stages.setdefault((rec.dom, rec.ran), []).append(rec.stage)
         else:
             for c in rec.tuples:
                 for n, label in enumerate(c, start=1):
-                    self.protected.setdefault(n, set()).add(label)
-        self.size += 1
-        self.last = rec
+                    self.protected.setdefault(n, {}).setdefault(label, pos)
+        self.records.append(rec)
+
+    def pop(self) -> None:
+        """Undo the last `add`: drop the entries the last record made first,
+        moving the least-free pointer back to any label that frees."""
+        rec = self.records.pop()
+        pos = len(self.records)
+        table = self.used if isinstance(rec, GeneratorRecord) else self.protected
+        for n, label in _blocked(rec):
+            labels = table[n]
+            if labels.get(label) == pos:
+                del labels[label]
+                if label < self.free.get(n, 0):
+                    self.free[n] = label
+        if isinstance(rec, GeneratorRecord):
+            key = (rec.dom, rec.ran)
+            self.stages[key].pop()
+            if not self.stages[key]:
+                del self.stages[key]
+        self.checked = min(self.checked, pos)
 
     def first_use(self, n: int, label: int) -> float:
-        """The first generator stage carrying the label at coordinate n, or
-        infinity when no generator does."""
+        """The position of the first generator carrying the label at
+        coordinate n, or infinity when no generator does."""
         return self.used.get(n, {}).get(label, math.inf)
+
+    def first_protection(self, n: int, label: int) -> float:
+        """The position of the first protection carrying the label at
+        coordinate n, or infinity when none does."""
+        return self.protected.get(n, {}).get(label, math.inf)
 
     def least_free(self, n: int) -> int:
         """The least label that no indexed record blocks at coordinate n."""
-        used, protected = self.used.get(n, {}), self.protected.get(n, ())
+        used, protected = self.used.get(n, {}), self.protected.get(n, {})
         label = self.free.get(n, 0)
         while label in used or label in protected:
             label += 1
         self.free[n] = label
         return label
+
+
+def _blocked(rec: Record) -> Iterator[tuple[int, int]]:
+    """The (coordinate, label) pairs a record blocks."""
+    if isinstance(rec, GeneratorRecord):
+        for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
+            for label in pair:
+                yield n, label
+    else:
+        for c in rec.tuples:
+            yield from enumerate(c, start=1)
 
 
 class Registry:
@@ -166,25 +204,24 @@ class Registry:
 
         The record list is edited from outside as well (replay appends
         protections, callers truncate it or append records by hand), so the
-        index is caught up here rather than kept by the mutations: when the
-        list only grew past the last indexed record, the new tail is indexed;
-        otherwise the index is rebuilt from scratch.
+        index is caught up here rather than kept by the mutations: it forgets
+        indexed records back to the last one still in its place, then indexes
+        the new tail. A truncation followed by a link costs one `pop` and one
+        `add`. Records edited in place further back go unseen here; `audit`
+        compares the whole list.
         """
         index, records = self._index, self.records
-        if index.size > len(records) or (
-            index.size and records[index.size - 1] is not index.last
-        ):
-            index = self._index = LabelIndex()
-        for rec in records[index.size:]:
+        indexed = index.records
+        keep = len(indexed)
+        if keep > len(records) or (keep and records[keep - 1] is not indexed[-1]):
+            keep = min(keep, len(records))
+            while keep and records[keep - 1] is not indexed[keep - 1]:
+                keep -= 1
+            while len(indexed) > keep:
+                index.pop()
+        for rec in records[keep:]:
             index.add(rec)
         return index
-
-    def generators(self, up_to_stage: Optional[int] = None) -> Iterator[GeneratorRecord]:
-        for rec in self.records:
-            if up_to_stage is not None and rec.stage > up_to_stage:
-                break
-            if isinstance(rec, GeneratorRecord):
-                yield rec
 
     def protection_by_stage(self, stage: int) -> ProtectionRecord:
         if 0 <= stage < len(self.records):
@@ -255,47 +292,22 @@ class Registry:
         Checks, per generator: equal-length tuples of the recorded length,
         proper extension of the requested pair, and freshness of the final
         coordinate against all earlier generators at that depth and all
-        earlier protected tuples at that depth. The records are replayed into
-        a fresh label index, each generator checked before it is added.
+        earlier protected tuples at that depth. Only records past the index's
+        `checked` mark are checked, against the index's first positions; the
+        index is rebuilt first unless its records equal the current ones, so
+        a record edited in place anywhere is checked again.
         """
-        index = LabelIndex()
-        for pos, rec in enumerate(self.records):
-            if rec.stage != pos:
-                return AuditReport(False, f"stage {rec.stage} out of order", rec.stage)
-            if not isinstance(rec, GeneratorRecord):
-                index.add(rec)
-                continue
-            if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
-                return AuditReport(
-                    False, f"stage {rec.stage}: tuple lengths differ from n={rec.n}", rec.stage
-                )
-            if not (
-                properly_extends(rec.dom, rec.requested[0])
-                and properly_extends(rec.ran, rec.requested[1])
-            ):
-                return AuditReport(
-                    False,
-                    f"stage {rec.stage}: tuples do not properly extend the request",
-                    rec.stage,
-                )
-            used, protected = index.used.get(rec.n, {}), index.protected.get(rec.n, ())
-            for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
-                if value in used or value in protected:
-                    kind = "generator label" if value in used else "protected label"
-                    return AuditReport(
-                        False,
-                        f"stage {rec.stage}: {name} reuses {kind} {value} "
-                        f"at coordinate {rec.n}",
-                        rec.stage,
-                    )
-            # The issued operator must conjugate its domain projection to its
-            # range projection; cheap, so re-checked on every audit.
-            v = rec.monomial()
-            if normal_form([v, V(rec.dom, rec.dom), V(rec.ran, rec.dom)]) != V(rec.ran, rec.ran):
-                return AuditReport(
-                    False, f"stage {rec.stage}: conjugation identity fails", rec.stage
-                )
-            index.add(rec)
+        index = self.labels()
+        if index.records != self.records:
+            self._index = LabelIndex()
+            index = self.labels()
+        for pos in range(index.checked, len(self.records)):
+            rec = self.records[pos]
+            problem = _audit_problem(index, pos, rec)
+            if problem:
+                index.checked = pos
+                return AuditReport(False, problem, rec.stage)
+        index.checked = len(self.records)
         return AuditReport(True, "ok")
 
     # -- serialization -----------------------------------------------------
@@ -361,6 +373,34 @@ class Registry:
             else:
                 raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
         return reg
+
+
+def _audit_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
+    """What is wrong with the record at this position, judged against the
+    records before it through the index of the whole list; None when
+    nothing is."""
+    if rec.stage != pos:
+        return f"stage {rec.stage} out of order"
+    if not isinstance(rec, GeneratorRecord):
+        return None
+    if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
+        return f"stage {rec.stage}: tuple lengths differ from n={rec.n}"
+    if not (
+        properly_extends(rec.dom, rec.requested[0])
+        and properly_extends(rec.ran, rec.requested[1])
+    ):
+        return f"stage {rec.stage}: tuples do not properly extend the request"
+    for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
+        used = index.first_use(rec.n, value) < pos
+        if used or index.first_protection(rec.n, value) < pos:
+            kind = "generator label" if used else "protected label"
+            return f"stage {rec.stage}: {name} reuses {kind} {value} at coordinate {rec.n}"
+    # The issued operator must conjugate its domain projection to its range
+    # projection; cheap, so re-checked whenever the record is audited.
+    v = rec.monomial()
+    if normal_form([v, V(rec.dom, rec.dom), V(rec.ran, rec.dom)]) != V(rec.ran, rec.ran):
+        return f"stage {rec.stage}: conjugation identity fails"
+    return None
 
 
 def parse_record_line(line: str, lineno: int) -> dict[str, str]:

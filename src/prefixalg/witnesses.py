@@ -124,7 +124,7 @@ def ideal_projection_witness(
     n = q.max_tuple_len() + 1
     head = x.head(n - 1)
     blocked = {t[n - 1] for t in q.tuples() if len(t) >= n}
-    blocked |= reg.labels().protected.get(n, set())
+    blocked.update(reg.labels().protected.get(n, {}))
     fresh = 0
     while fresh in blocked:
         fresh += 1
@@ -465,19 +465,28 @@ def check_state_vanishes(
     prot: ProtectionRecord,
     pivot: Tup,
     word: list[Monomial],
+    *,
+    trace: Union[VanishingTrace, ZeroReport, None] = None,
 ) -> Scalar:
     """Evaluate the registered state on the word and prove the value is zero.
 
     The protection must have been generated by this state, and its horizon
     must cover every depth the trace reaches; otherwise the final carrier
-    could slip past the protected prefixes.
+    could slip past the protected prefixes. A caller that already holds the
+    result of `vanishing_witness` for these arguments passes it as `trace`
+    so that it is not built again.
     """
     if tuple(rho.support_set(prot.horizon)) != prot.tuples:
         raise WitnessError(
             "the supplied state does not generate the protection's tuples "
             "at its horizon"
         )
-    result = vanishing_witness(reg, prot, pivot, word)
+    if trace is None:
+        result = vanishing_witness(reg, prot, pivot, word)
+    elif (trace.word, trace.pivot, trace.prot_stage) != (tuple(word), tuple(pivot), prot.stage):
+        raise WitnessError("the supplied trace is for another word, pivot or protection")
+    else:
+        result = trace
     nf = normal_form(word)
     if isinstance(result, ZeroReport):
         return Scalar(Fraction(0))

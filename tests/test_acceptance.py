@@ -30,7 +30,7 @@ from prefixalg.polynomials import (
     Scalar,
     fragment_index,
 )
-from prefixalg.registry import Registry
+from prefixalg.registry import GeneratorRecord, Registry
 from prefixalg.witnesses import (
     ZeroReport,
     check_state_vanishes,
@@ -231,9 +231,11 @@ def test_criterion_5_vanishing_end_to_end():
             pivot = reg.vanishing_tuple(prot)
             for _ in range(50):
                 reg.link(rand_tuple(rng, 3), rand_tuple(rng, 3))
-            gens = [rec.monomial() for rec in reg.generators()]
+            gens = [rec.monomial() for rec in reg.records if isinstance(rec, GeneratorRecord)]
             late_gens = [
-                rec.monomial() for rec in reg.generators() if rec.stage > prot.stage
+                rec.monomial()
+                for rec in reg.records[prot.stage + 1:]
+                if isinstance(rec, GeneratorRecord)
             ]
             traced = []
             for _ in range(1_000):
@@ -258,8 +260,8 @@ def test_criterion_5_vanishing_end_to_end():
                 carrier, n = result.carrier, result.depth
                 # Direct scans of the three claim properties.
                 assert multiply(projection(carrier), nf) == nf
-                for rec in reg.generators(up_to_stage=prot.stage):
-                    if n <= rec.n:
+                for rec in reg.records[: prot.stage + 1]:
+                    if isinstance(rec, GeneratorRecord) and n <= rec.n:
                         assert rec.dom[n - 1] != carrier[-1]
                         assert rec.ran[n - 1] != carrier[-1]
                 for c in prot.tuples:

@@ -77,6 +77,28 @@ def test_register_vanishing_lemma2(tmp_path):
     assert code == 0 and "final carrier=" in text
 
 
+def test_lemma2_builds_the_trace_once(tmp_path, monkeypatch):
+    import prefixalg.cli as cli
+    import prefixalg.witnesses as witnesses
+
+    session = str(tmp_path / "s.txt")
+    run("--session", session, "register-state", "1@(5)/0", "4")
+    _, text = run("--session", session, "link", "(0)", "(6)")
+    fields = dict(f.split("=") for f in text.split()[1:])
+    word = f"V({fields['dom']};{fields['ran']}) P((0))"
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return vanishing_witness(*args)
+
+    monkeypatch.setattr(cli, "vanishing_witness", counting)
+    monkeypatch.setattr(witnesses, "vanishing_witness", counting)
+    code, text = run("--session", session, "lemma2", "0", word)
+    assert code == 0 and "state-value 0" in text
+    assert len(calls) == 1
+
+
 def test_lemma2_zero_report(tmp_path):
     session = str(tmp_path / "s.txt")
     run("--session", session, "link", "(8)", "(9)")
@@ -232,4 +254,4 @@ def test_vanishing_tuple_negative_stage_is_usage_error(tmp_path, capsys):
     code, text = run("--session", session, "vanishing-tuple", "-1")
     assert code == 2 and text == ""
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "stage -1" in err
+    assert err == "error: no protection record at stage -1\n"

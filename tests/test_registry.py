@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from prefixalg import registry
 from prefixalg.cylinders import SequenceDesc, properly_extends
 from prefixalg.monomials import V, adjoint, normal_form
 from prefixalg.polynomials import DiagonalState
@@ -278,17 +280,52 @@ def scan_first_use(records, n, label):
     return None
 
 
-def scan_audit(records):
+def scan_first_protection(records, n, label):
+    for rec in records:
+        if isinstance(rec, ProtectionRecord) and any(
+            n <= len(c) and c[n - 1] == label for c in rec.tuples
+        ):
+            return rec.stage
+    return None
+
+
+def replay_audit(records):
+    """The audit as a replay of every record into fresh label sets, each
+    generator checked before it is added: the oracle for `Registry.audit`,
+    which checks only records it has not passed yet."""
+    used, protected = {}, {}
     for pos, rec in enumerate(records):
         if rec.stage != pos:
-            return f"stage {rec.stage} out of order"
-        if isinstance(rec, GeneratorRecord):
-            used, protected = scan_blocked(records, rec.n, pos)
+            return False, f"stage {rec.stage} out of order", rec.stage
+        if isinstance(rec, ProtectionRecord):
+            for c in rec.tuples:
+                for n, label in enumerate(c, start=1):
+                    protected.setdefault(n, set()).add(label)
+            continue
+        problem = None
+        if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
+            problem = f"tuple lengths differ from n={rec.n}"
+        elif not (
+            properly_extends(rec.dom, rec.requested[0])
+            and properly_extends(rec.ran, rec.requested[1])
+        ):
+            problem = "tuples do not properly extend the request"
+        else:
             for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
-                for kind, blocked in (("generator label", used), ("protected label", protected)):
-                    if value in blocked:
-                        return f"stage {pos}: {name} reuses {kind} {value} at coordinate {rec.n}"
-    return "ok"
+                in_used = value in used.get(rec.n, ())
+                if in_used or value in protected.get(rec.n, ()):
+                    kind = "generator label" if in_used else "protected label"
+                    problem = f"{name} reuses {kind} {value} at coordinate {rec.n}"
+                    break
+            else:
+                v = rec.monomial()
+                if normal_form([v, V(rec.dom, rec.dom), adjoint(v)]) != V(rec.ran, rec.ran):
+                    problem = "conjugation identity fails"
+        if problem:
+            return False, f"stage {rec.stage}: {problem}", rec.stage
+        for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
+            used.setdefault(n, set()).update(pair)
+    return True, "ok", None
 
 
 def rand_request(rng):
@@ -312,16 +349,7 @@ def test_label_index_matches_record_scans(seed):
         elif roll < 0.7:
             del records[rng.randint(0, len(records)):]
         elif roll < 0.85:
-            # A generator appended by hand, its label possibly already blocked.
-            req = (rand_request(rng), rand_request(rng))
-            n = max(map(len, req)) + 1
-            label = rng.randint(0, 4)
-            records.append(GeneratorRecord(
-                stage=len(records), n=n,
-                dom=req[0] + (label,) * (n - len(req[0])),
-                ran=req[1] + (label,) * (n - len(req[1])),
-                requested=req, fresh=label,
-            ))
+            records.append(hand_generator(rng, len(records)))
         else:
             tuples = tuple({rand_request(rng) + (rng.randint(0, 5),) for _ in range(2)})
             records.append(ProtectionRecord(stage=len(records), tuples=tuples, horizon=3))
@@ -331,17 +359,22 @@ def test_label_index_matches_record_scans(seed):
                 assert reg.vanishing_tuple(rec) == scan_vanishing_tuple(records, rec)
         for n in range(1, 6):
             _, protected = scan_blocked(records, n, len(records))
-            assert reg.labels().protected.get(n, set()) == protected
+            assert set(reg.labels().protected.get(n, {})) == protected
             for label in range(6):
                 first = scan_first_use(records, n, label)
                 assert reg.labels().first_use(n, label) == (float("inf") if first is None else first)
+                first = scan_first_protection(records, n, label)
+                assert reg.labels().first_protection(n, label) == (
+                    float("inf") if first is None else first
+                )
+        gens = [r for r in records if isinstance(r, GeneratorRecord)]
         for rec in records[-3:]:
             if isinstance(rec, GeneratorRecord):
                 m = V(rec.dom, rec.ran)
-                direct = [r.stage for r in reg.generators() if (r.dom, r.ran) == (m.dom, m.ran)]
-                adj = [r.stage for r in reg.generators() if (r.ran, r.dom) == (m.dom, m.ran)]
+                direct = [r.stage for r in gens if (r.dom, r.ran) == (m.dom, m.ran)]
+                adj = [r.stage for r in gens if (r.ran, r.dom) == (m.dom, m.ran)]
                 assert reg.generator_stages_matching(m) == (direct, adj)
-        assert reg.audit().message == scan_audit(records)
+        assert reg.audit().message == replay_audit(records)[1]
 
 
 def test_protection_by_stage_rejects_other_stages():
@@ -352,3 +385,122 @@ def test_protection_by_stage_rejects_other_stages():
     for stage in (-1, -2, 0, 2, 7):
         with pytest.raises(KeyError):
             reg.protection_by_stage(stage)
+
+
+# -- the incremental audit against a fresh replay of the whole log --
+
+
+def hand_generator(rng, stage):
+    """A generator record at this stage whose label may already be blocked."""
+    req = (rand_request(rng), rand_request(rng))
+    n = max(map(len, req)) + 1
+    label = rng.randint(0, 4)
+    return GeneratorRecord(
+        stage=stage, n=n,
+        dom=req[0] + (label,) * (n - len(req[0])),
+        ran=req[1] + (label,) * (n - len(req[1])),
+        requested=req, fresh=label,
+    )
+
+
+def forged(rec, **changes):
+    """A copy of the record with some fields changed, past its own checks."""
+    copy = object.__new__(type(rec))
+    for f in dataclasses.fields(rec):
+        object.__setattr__(copy, f.name, changes.get(f.name, getattr(rec, f.name)))
+    return copy
+
+
+def malformed_generator(rng, stage):
+    """A generator record the constructor would refuse: wrong n, or tuples
+    that do not extend the request."""
+    rec = hand_generator(rng, stage)
+    if rng.random() < 0.5:
+        return forged(rec, n=rec.n + 1)
+    return forged(rec, requested=(rec.dom, rec.ran))
+
+
+def test_incremental_audit_matches_fresh_replay():
+    verdicts = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        reg = Registry()
+        saved = []  # (position, original record) of in-place edits
+        for _ in range(150):
+            records = reg.records
+            roll = rng.random()
+            if roll < 0.35:
+                reg.link(rand_request(rng), rand_request(rng))
+            elif roll < 0.45:
+                reg.register_protection(rand_state(rng), rng.randint(1, 4))
+            elif roll < 0.52:
+                del records[rng.randint(0, len(records)):]
+            elif roll < 0.6:
+                records.append(hand_generator(rng, len(records)))
+            elif roll < 0.65:
+                tuples = tuple({rand_request(rng) + (rng.randint(0, 5),) for _ in range(2)})
+                records.append(ProtectionRecord(stage=len(records), tuples=tuples, horizon=3))
+            elif records and roll < 0.9:
+                pos = rng.randrange(len(records))
+                saved.append((pos, records[pos]))
+                edit = rng.randrange(4)
+                if edit == 0:
+                    records[pos] = hand_generator(rng, pos)
+                elif edit == 1:
+                    records[pos] = malformed_generator(rng, pos)
+                elif edit == 2:
+                    records[pos] = forged(records[pos], stage=pos + rng.choice((-2, -1, 1, 3)))
+                else:
+                    other = rng.randrange(len(records))
+                    records[pos], records[other] = records[other], records[pos]
+            elif saved:
+                pos, rec = saved.pop()
+                if pos < len(records):
+                    records[pos] = rec
+            for _ in range(rng.randint(1, 2)):
+                report = reg.audit()
+                expected = replay_audit(reg.records)
+                assert (report.ok, report.message, report.stage) == expected
+            verdicts.add(expected[1])
+    for phrase in (
+        "ok", "out of order", "tuple lengths differ", "do not properly extend",
+        "reuses generator label", "reuses protected label",
+    ):
+        assert any(phrase in verdict for verdict in verdicts), phrase
+
+
+def count_conjugation_checks(monkeypatch):
+    calls = []
+    real = registry.normal_form
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(registry, "normal_form", counting)
+    return calls
+
+
+def test_audit_checks_only_new_records(monkeypatch):
+    rng = random.Random(5)
+    reg = Registry()
+    for _ in range(300):
+        if rng.random() < 0.1:
+            reg.register_protection(rand_state(rng), rng.randint(1, 4))
+        else:
+            reg.link(rand_request(rng), rand_request(rng))
+    calls = count_conjugation_checks(monkeypatch)
+    assert reg.audit()
+    assert len(calls) == sum(isinstance(rec, GeneratorRecord) for rec in reg.records)
+    del calls[:]
+    reg.link((1,), (2,))
+    assert reg.audit()
+    assert len(calls) == 1
+    del calls[:]
+    del reg.records[250:]
+    reg.link((3,), (4,))
+    assert reg.audit()
+    assert len(calls) == 1
+    del calls[:]
+    assert reg.audit()
+    assert calls == []

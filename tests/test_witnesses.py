@@ -7,7 +7,7 @@ from prefixalg.cylinders import SequenceDesc, extends, properly_extends
 from prefixalg.expr import eval_expr, poly_text
 from prefixalg.monomials import V, ZERO, adjoint, multiply, normal_form, projection
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
-from prefixalg.registry import Registry
+from prefixalg.registry import GeneratorRecord, Registry
 from prefixalg.witnesses import (
     CASE_BASE,
     CASE_EARLY_ORTHOGONAL,
@@ -149,6 +149,26 @@ def test_certificate_against_wrong_registry():
     assert verify_certificate(cert, None)
 
 
+def test_certificate_verify_sees_earlier_record_replaced():
+    reg = Registry()
+    reg.link((1,), (2,))
+    reg.link((3,), (4,))
+    w1 = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, P((2,)), SequenceDesc((2,), 0))
+    cert = primeness_witness(reg, w1, w2)
+    assert verify_certificate(cert, reg)
+    # Stage 1 took label 1 at coordinate 2; put label 0, which stage 0 took,
+    # in its place. Nothing else about the registry changes.
+    assert reg.records[1].fresh == 1 and reg.records[0].fresh == 0
+    reg.records[1] = GeneratorRecord(
+        stage=1, n=2, dom=(3, 0), ran=(4, 0), requested=((3,), (4,)), fresh=0
+    )
+    report = verify_certificate(cert, reg)
+    assert report.problems == [
+        "registry audit fails: stage 1: dom reuses generator label 0 at coordinate 2"
+    ]
+
+
 # -- vanishing traces --------------------------------------------------------------
 
 
@@ -282,6 +302,17 @@ def test_state_vanishes_on_traced_words():
     assert value == Scalar(Fraction(0))
 
 
+def test_state_check_uses_a_supplied_trace():
+    reg, _, prot, pivot = build_scene()
+    late = reg.link(pivot, (6,))
+    word = [late.monomial(), projection(pivot)]
+    trace = vanishing_witness(reg, prot, pivot, word)
+    value = check_state_vanishes(prot.state, reg, prot, pivot, word, trace=trace)
+    assert value == Scalar(Fraction(0))
+    with pytest.raises(WitnessError):
+        check_state_vanishes(prot.state, reg, prot, pivot, [projection(pivot)], trace=trace)
+
+
 def test_state_value_can_be_positive_without_the_pivot():
     reg, _, prot, pivot = build_scene()
     rho = prot.state
@@ -331,7 +362,7 @@ def test_dichotomy_random_words():
             tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 2))),
             tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 2))),
         )
-    gens = [rec.monomial() for rec in reg.generators()]
+    gens = [rec.monomial() for rec in reg.records if isinstance(rec, GeneratorRecord)]
     rho = prot.state
     zero_count = trace_count = 0
     for _ in range(300):
@@ -352,8 +383,8 @@ def test_dichotomy_random_words():
             assert nf is not ZERO
             assert multiply(projection(result.carrier), nf) == nf
             n = result.depth
-            for rec in reg.generators(up_to_stage=prot.stage):
-                if n <= rec.n:
+            for rec in reg.records[: prot.stage + 1]:
+                if isinstance(rec, GeneratorRecord) and n <= rec.n:
                     assert rec.dom[n - 1] != result.carrier[-1]
                     assert rec.ran[n - 1] != result.carrier[-1]
             for c in prot.tuples:
@@ -369,7 +400,11 @@ def test_linear_combinations_vanish():
     reg, _, prot, pivot = build_scene()
     reg.link(pivot, (6,))
     reg.link((6,), pivot)
-    gens = [rec.monomial() for rec in reg.generators() if rec.stage > prot.stage]
+    gens = [
+        rec.monomial()
+        for rec in reg.records[prot.stage + 1:]
+        if isinstance(rec, GeneratorRecord)
+    ]
     rho = prot.state
     combo = Polynomial.zero()
     for _ in range(10):
