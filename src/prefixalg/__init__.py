@@ -44,11 +44,11 @@ from .polynomials import (
     parse_state_text,
 )
 from .registry import (
-    AuditReport,
     GeneratorRecord,
     ProtectionRecord,
     Registry,
     RegistryError,
+    audit_records,
 )
 from .expr import eval_expr, expr_to_word, from_polynomial, poly_text, print_expr
 from .parser import ParseError, parse_expr, parse_word

@@ -231,9 +231,9 @@ def _run(args, out) -> int:
 
     if args.command == "audit":
         session = _require_session(args)
-        report = session.registry.audit()
-        print(report.message, file=out)
-        return OK if report else FAIL
+        problems = session.registry.audit()
+        print("\n".join(problems) or "ok", file=out)
+        return FAIL if problems else OK
 
     if args.command == "selftest":
         failures = 0

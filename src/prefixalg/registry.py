@@ -9,14 +9,15 @@ state-vanishing argument run.
 
 Records are kept in request order because the avoidance sets depend on what
 came earlier. The fresh label is always the least unused one, so replaying a
-log of requests reproduces the registry bit for bit.
+log of requests reproduces the registry bit for bit. `audit_records` checks a
+log as written, record by record, without replaying it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .cylinders import Tup, format_tuple, parse_tuple_text, properly_extends
 from .monomials import V, normal_form
@@ -28,7 +29,8 @@ class GeneratorRecord:
     """An issued linking isometry V(dom, ran) and how it was requested.
 
     dom and ran extend the requested pair to length n, all added coordinates
-    equal to the fresh label chosen at this stage.
+    equal to the fresh label chosen at this stage. A record read from text
+    is taken as written; `check` and the audit judge it.
     """
 
     stage: int
@@ -38,7 +40,8 @@ class GeneratorRecord:
     requested: tuple[Tup, Tup]
     fresh: int
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError unless the fields agree with each other."""
         if len(self.dom) != self.n or len(self.ran) != self.n:
             raise ValueError("generator tuples must have length n")
         if not properly_extends(self.dom, self.requested[0]):
@@ -84,16 +87,6 @@ class ProtectionRecord:
 Record = Union[GeneratorRecord, ProtectionRecord]
 
 
-@dataclass(slots=True)
-class AuditReport:
-    ok: bool
-    message: str
-    stage: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class RegistryError(Exception):
     """A structurally invalid registry or session file."""
 
@@ -108,11 +101,10 @@ class LabelIndex:
     that audits clean, positions equal stages, so "used by a generator up to
     stage s" is `first_use(n, label) <= s`. `free[n]` is a label below which
     every label is blocked. `stages` maps each issued (dom, ran) pair to its
-    generator stages. `records` is the indexed record list, and its first
-    `checked` records have passed audit.
+    generator stages. `records` is the indexed record list.
     """
 
-    __slots__ = ("used", "protected", "free", "stages", "records", "checked")
+    __slots__ = ("used", "protected", "free", "stages", "records")
 
     def __init__(self) -> None:
         self.used: dict[int, dict[int, int]] = {}
@@ -120,7 +112,6 @@ class LabelIndex:
         self.free: dict[int, int] = {}
         self.stages: dict[tuple[Tup, Tup], list[int]] = {}
         self.records: list[Record] = []
-        self.checked = 0
 
     def add(self, rec: Record) -> None:
         # The pairs of `_blocked`, written out: this runs for every record
@@ -155,7 +146,6 @@ class LabelIndex:
             self.stages[key].pop()
             if not self.stages[key]:
                 del self.stages[key]
-        self.checked = min(self.checked, pos)
 
     def first_use(self, n: int, label: int) -> float:
         """The position of the first generator carrying the label at
@@ -189,7 +179,14 @@ def _blocked(rec: Record) -> Iterator[tuple[int, int]]:
 
 
 class Registry:
-    """The ordered log of generator and protection records."""
+    """The ordered log of generator and protection records.
+
+    The log changes only at its tail: `link` and `register_protection`
+    append to it, and a caller may cut it back with `del reg.records[k:]`
+    or append records by hand. A record edited in place behind the tail
+    is outside this contract: the label index does not see it, though
+    `audit_records` still names the collision it makes.
+    """
 
     __slots__ = ("records", "_index")
 
@@ -200,26 +197,19 @@ class Registry:
     # -- queries -------------------------------------------------------
 
     def labels(self) -> LabelIndex:
-        """The label index of the records as they stand now.
+        """The label index of the log as it stands now.
 
-        The record list is edited from outside as well (replay appends
-        protections, callers truncate it or append records by hand), so the
-        index is caught up here rather than kept by the mutations: it forgets
-        indexed records back to the last one still in its place, then indexes
-        the new tail. A truncation followed by a link costs one `pop` and one
-        `add`. Records edited in place further back go unseen here; `audit`
-        compares the whole list.
+        The log changes only at its tail, so the index forgets the records
+        it holds that the log no longer does, then indexes the new tail. A
+        truncation followed by a link costs one `pop` and one `add`.
         """
         index, records = self._index, self.records
         indexed = index.records
-        keep = len(indexed)
-        if keep > len(records) or (keep and records[keep - 1] is not indexed[-1]):
-            keep = min(keep, len(records))
-            while keep and records[keep - 1] is not indexed[keep - 1]:
-                keep -= 1
-            while len(indexed) > keep:
-                index.pop()
-        for rec in records[keep:]:
+        while len(indexed) > len(records) or (
+            indexed and indexed[-1] is not records[len(indexed) - 1]
+        ):
+            index.pop()
+        for rec in records[len(indexed):]:
             index.add(rec)
         return index
 
@@ -286,29 +276,9 @@ class Registry:
 
     # -- validation ------------------------------------------------------
 
-    def audit(self) -> AuditReport:
-        """Re-verify every issued generator against the full earlier log.
-
-        Checks, per generator: equal-length tuples of the recorded length,
-        proper extension of the requested pair, and freshness of the final
-        coordinate against all earlier generators at that depth and all
-        earlier protected tuples at that depth. Only records past the index's
-        `checked` mark are checked, against the index's first positions; the
-        index is rebuilt first unless its records equal the current ones, so
-        a record edited in place anywhere is checked again.
-        """
-        index = self.labels()
-        if index.records != self.records:
-            self._index = LabelIndex()
-            index = self.labels()
-        for pos in range(index.checked, len(self.records)):
-            rec = self.records[pos]
-            problem = _audit_problem(index, pos, rec)
-            if problem:
-                index.checked = pos
-                return AuditReport(False, problem, rec.stage)
-        index.checked = len(self.records)
-        return AuditReport(True, "ok")
+    def audit(self) -> list[str]:
+        """Every problem `audit_records` finds in this registry's log."""
+        return audit_records(self.records)
 
     # -- serialization -----------------------------------------------------
 
@@ -316,68 +286,58 @@ class Registry:
         return "".join(rec.to_line() + "\n" for rec in self.records)
 
     @staticmethod
-    def from_text(text: str) -> "Registry":
+    def from_text(text: str, first_line: int = 1) -> "Registry":
         """Rebuild a registry by replaying the recorded requests.
 
         Generator lines are re-derived from their requested pair and must
         reproduce the recorded result exactly; protections with a recorded
         state must reproduce the recorded support. Any mismatch means the
-        file was edited or produced by different code.
+        file was edited or produced by different code. Errors name the line,
+        counting the text's first line as `first_line`.
         """
         reg = Registry()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=first_line):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = parse_record_line(line, lineno)
-            kind = fields["_kind"]
-            if kind == "generator":
-                rec = reg.link(
-                    parse_tuple_text(fields["req_dom"]), parse_tuple_text(fields["req_ran"])
-                )
-                recorded = (
-                    int(fields["stage"]),
-                    int(fields["n"]),
-                    int(fields["fresh"]),
-                    parse_tuple_text(fields["dom"]),
-                    parse_tuple_text(fields["ran"]),
-                )
-                if (rec.stage, rec.n, rec.fresh, rec.dom, rec.ran) != recorded:
+            rec = record_from_fields(parse_record_line(line, lineno), lineno)
+            if isinstance(rec, ProtectionRecord):
+                state = rec.state
+                if state is not None and tuple(state.support_set(rec.horizon)) != rec.tuples:
                     raise RegistryError(
-                        f"line {lineno}: replay of the link request does not "
-                        f"reproduce the recorded generator"
+                        f"line {lineno}: recorded protection tuples do not "
+                        f"match the recorded state at horizon {rec.horizon}"
                     )
-            elif kind == "protection":
-                stage = int(fields["stage"])
-                horizon = int(fields["horizon"])
-                tuples_text = fields["tuples"]
-                tuples = (
-                    tuple(parse_tuple_text(t) for t in tuples_text.split("|"))
-                    if tuples_text
-                    else ()
-                )
-                state = None
-                if fields["state"] != "-":
-                    state = parse_state_text(fields["state"])
-                    replayed = tuple(state.support_set(horizon))
-                    if replayed != tuples:
-                        raise RegistryError(
-                            f"line {lineno}: recorded protection tuples do not "
-                            f"match the recorded state at horizon {horizon}"
-                        )
-                if stage != len(reg.records):
+                if rec.stage != len(reg.records):
                     raise RegistryError(f"line {lineno}: protection stage out of order")
-                reg.records.append(
-                    ProtectionRecord(stage=stage, tuples=tuples, horizon=horizon, state=state)
+                reg.records.append(rec)
+            elif reg.link(*rec.requested) != rec:
+                raise RegistryError(
+                    f"line {lineno}: replay of the link request does not "
+                    f"reproduce the recorded generator"
                 )
-            else:
-                raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
         return reg
 
 
-def _audit_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
+def audit_records(records: Sequence[Record]) -> list[str]:
+    """Every problem in a log, in stage order; an empty list when none.
+
+    One forward pass over a fresh label index: each record is judged by
+    `record_problem` against the records before it as written. Nothing is
+    replayed through `link`.
+    """
+    index, problems = LabelIndex(), []
+    for pos, rec in enumerate(records):
+        problem = record_problem(index, pos, rec)
+        if problem:
+            problems.append(problem)
+        index.add(rec)
+    return problems
+
+
+def record_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
     """What is wrong with the record at this position, judged against the
-    records before it through the index of the whole list; None when
+    records before it through an index that holds at least those; None when
     nothing is."""
     if rec.stage != pos:
         return f"stage {rec.stage} out of order"
@@ -396,11 +356,41 @@ def _audit_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
             kind = "generator label" if used else "protected label"
             return f"stage {rec.stage}: {name} reuses {kind} {value} at coordinate {rec.n}"
     # The issued operator must conjugate its domain projection to its range
-    # projection; cheap, so re-checked whenever the record is audited.
+    # projection; cheap, so re-checked whenever the record is judged.
     v = rec.monomial()
     if normal_form([v, V(rec.dom, rec.dom), V(rec.ran, rec.dom)]) != V(rec.ran, rec.ran):
         return f"stage {rec.stage}: conjugation identity fails"
     return None
+
+
+def record_from_fields(fields: dict[str, str], lineno: int) -> Record:
+    """The record a parsed record line describes, taken as written."""
+    kind = fields["_kind"]
+    try:
+        if kind == "generator":
+            return GeneratorRecord(
+                requested=(
+                    parse_tuple_text(fields["req_dom"]),
+                    parse_tuple_text(fields["req_ran"]),
+                ),
+                stage=int(fields["stage"]),
+                n=int(fields["n"]),
+                fresh=int(fields["fresh"]),
+                dom=parse_tuple_text(fields["dom"]),
+                ran=parse_tuple_text(fields["ran"]),
+            )
+        if kind == "protection":
+            stage, horizon = int(fields["stage"]), int(fields["horizon"])
+            tuples, state = fields["tuples"], fields["state"]
+            return ProtectionRecord(
+                stage=stage,
+                tuples=tuple(parse_tuple_text(t) for t in tuples.split("|")) if tuples else (),
+                horizon=horizon,
+                state=None if state == "-" else parse_state_text(state),
+            )
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: {kind} record has no field {exc.args[0]}") from None
+    raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
 
 
 def parse_record_line(line: str, lineno: int) -> dict[str, str]:

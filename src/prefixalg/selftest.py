@@ -181,9 +181,9 @@ def check_registry(rng: random.Random, cases: int) -> tuple[bool, str]:
         conj = normal_form([v, V(rec.dom, rec.dom), adjoint(v)])
         if conj != V(rec.ran, rec.ran):
             return False, f"case {k}: conjugation identity fails at stage {rec.stage}"
-    report = reg.audit()
-    if not report:
-        return False, f"audit fails: {report.message}"
+    problems = reg.audit()
+    if problems:
+        return False, f"audit fails: {problems[0]}"
     return True, f"{cases} requests"
 
 

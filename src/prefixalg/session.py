@@ -60,13 +60,10 @@ class Session:
         lines = text.splitlines()
         if not lines or lines[0].strip() != HEADER:
             raise RegistryError("not a session file (bad header)")
-        record_lines: list[str] = []
         i = 1
         while i < len(lines) and not lines[i].startswith("binding "):
-            if lines[i].strip():
-                record_lines.append(lines[i])
             i += 1
-        session = Session(registry=Registry.from_text("\n".join(record_lines)))
+        session = Session(registry=Registry.from_text("\n".join(lines[1:i]), first_line=2))
         while i < len(lines):
             line = lines[i].strip()
             if not line:

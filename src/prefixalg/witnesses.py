@@ -54,7 +54,14 @@ from .monomials import (
 )
 from .parser import parse_expr, parse_word
 from .polynomials import DiagonalState, Polynomial, Scalar
-from .registry import GeneratorRecord, ProtectionRecord, Registry, parse_record_line
+from .registry import (
+    GeneratorRecord,
+    ProtectionRecord,
+    Registry,
+    parse_record_line,
+    record_from_fields,
+    record_problem,
+)
 
 
 class WitnessError(Exception):
@@ -558,17 +565,8 @@ def parse_certificate_text(text: str) -> PrimenessCertificate:
     fields = parse_record_line(lines[1].strip(), 2)
     if fields["_kind"] != "generator":
         raise ValueError("certificate is missing its generator record")
-    rec = GeneratorRecord(
-        stage=int(fields["stage"]),
-        n=int(fields["n"]),
-        dom=parse_tuple_text(fields["dom"]),
-        ran=parse_tuple_text(fields["ran"]),
-        requested=(
-            parse_tuple_text(fields["req_dom"]),
-            parse_tuple_text(fields["req_ran"]),
-        ),
-        fresh=int(fields["fresh"]),
-    )
+    rec = record_from_fields(fields, 2)
+    rec.check()
     w1, nxt = parse_witness_block(lines, 2)
     w2, nxt = parse_witness_block(lines, nxt)
     product_expr: Optional[Expr] = None
@@ -623,9 +621,10 @@ def verify_certificate(
     if reg is not None:
         if rec.stage >= len(reg.records) or reg.records[rec.stage] != rec:
             problems.append(f"registry has no matching record at stage {rec.stage}")
-        report = reg.audit()
-        if not report:
-            problems.append(f"registry audit fails: {report.message}")
+        else:
+            problem = record_problem(reg.labels(), rec.stage, rec)
+            if problem:
+                problems.append(f"registry audit fails: {problem}")
     return VerifyReport(ok=not problems, problems=problems)
 
 

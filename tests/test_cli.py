@@ -161,6 +161,21 @@ def test_prime_witness_and_verify(tmp_path):
     assert code == 1 and "problem" in text
 
 
+def test_certificate_missing_field_is_malformed(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    cert_path = tmp_path / "cert.txt"
+    run("--session", session, "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--out", str(cert_path))
+    lines = cert_path.read_text().splitlines(keepends=True)
+    lines[1] = " ".join(f for f in lines[1].split(" ") if not f.startswith("req_dom="))
+    cert_path.write_text("".join(lines))
+    capsys.readouterr()
+    code, text = run("--session", session, "verify", str(cert_path))
+    assert code == 1
+    assert text == "problem malformed certificate: line 2: generator record has no field req_dom\n"
+    assert capsys.readouterr().err == ""
+
+
 def test_prime_witness_rejects_zero_point():
     code, _ = run("prime-witness", "P((1))", "(3)/0", "P((2))", "(2)/0")
     assert code == 1
@@ -181,17 +196,25 @@ def test_verify_trace_needs_session(tmp_path):
 
 
 def test_console_entry_in_separate_process(tmp_path):
+    import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
 
+    import prefixalg
+
+    # The child imports the package under test, installed or not.
+    src = str(Path(prefixalg.__file__).parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     session = str(tmp_path / "s.txt")
     cert = str(tmp_path / "cert.txt")
     base = [_sys.executable, "-m", "prefixalg", "--session", session]
     subprocess.run(
         base + ["prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0", "--out", cert],
-        check=True, capture_output=True,
+        check=True, capture_output=True, env=env,
     )
-    done = subprocess.run(base + ["verify", cert], capture_output=True, text=True)
+    done = subprocess.run(base + ["verify", cert], capture_output=True, text=True, env=env)
     assert done.returncode == 0
     assert done.stdout.strip() == "verified ok"
 
@@ -255,3 +278,37 @@ def test_vanishing_tuple_negative_stage_is_usage_error(tmp_path, capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err == "error: no protection record at stage -1\n"
+
+
+def session_error(tmp_path, capsys, text):
+    """stdout, stderr and exit code of `audit` on a session file."""
+    session = tmp_path / "s.txt"
+    session.write_text(text)
+    capsys.readouterr()
+    code, out = run("--session", str(session), "audit")
+    return code, out, capsys.readouterr().err
+
+
+def test_session_record_missing_field_names_line_and_field(tmp_path, capsys):
+    text = "prefixalg session v1\ngenerator stage=0 n=2\n"
+    assert session_error(tmp_path, capsys, text) == (
+        2, "", "error: line 2: generator record has no field req_dom\n"
+    )
+    text = "prefixalg session v1\nprotection stage=0 horizon=1 tuples=(4)\n"
+    assert session_error(tmp_path, capsys, text) == (
+        2, "", "error: line 2: protection record has no field state\n"
+    )
+
+
+def test_session_replay_error_names_file_line(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    run("--session", session, "link", "(1)", "(2)")
+    run("--session", session, "link", "(3)", "(4)")
+    header, first, second = (tmp_path / "s.txt").read_text().splitlines()
+    # The second generator takes label 0, which the first already took.
+    tampered = second.replace("fresh=1", "fresh=0").replace(",1)", ",0)")
+    mismatch = "replay of the link request does not reproduce the recorded generator"
+    text = "\n".join([header, first, tampered]) + "\n"
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 3: {mismatch}\n")
+    text = "\n".join([header, first, "", tampered]) + "\n"
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 4: {mismatch}\n")

@@ -7,13 +7,15 @@ import pytest
 from prefixalg import registry
 from prefixalg.cylinders import SequenceDesc, properly_extends
 from prefixalg.monomials import V, adjoint, normal_form
-from prefixalg.polynomials import DiagonalState
+from prefixalg.polynomials import DiagonalState, Polynomial
 from prefixalg.registry import (
     GeneratorRecord,
     ProtectionRecord,
     Registry,
     RegistryError,
+    audit_records,
 )
+from prefixalg.witnesses import ideal_projection_witness, primeness_witness, verify_certificate
 
 
 def one_point_state(prefix, tail=0):
@@ -142,8 +144,7 @@ def test_audit_clean_registry():
                 tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 3))),
                 tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 3))),
             )
-    assert reg.audit()
-    assert reg.audit().message == "ok"
+    assert audit_records(reg.records) == []
 
 
 def test_audit_reports_injected_violation():
@@ -155,11 +156,10 @@ def test_audit_reports_injected_violation():
         stage=1, n=2, dom=(4, 2), ran=(5, 2), requested=((4,), (5,)), fresh=2
     )
     reg.records.append(bad)
-    report = reg.audit()
-    assert not report
-    assert report.stage == 1
-    assert "protected label 2" in report.message
-    assert "coordinate 2" in report.message
+    (problem,) = audit_records(reg.records)
+    assert problem.startswith("stage 1: ")
+    assert "protected label 2" in problem
+    assert "coordinate 2" in problem
 
 
 def test_audit_reports_generator_label_reuse():
@@ -170,12 +170,29 @@ def test_audit_reports_generator_label_reuse():
         requested=((4,), (5,)), fresh=first.fresh,
     )
     reg.records.append(bad)
-    report = reg.audit()
-    assert not report and "generator label" in report.message
+    (problem,) = audit_records(reg.records)
+    assert "generator label" in problem
 
 
 def test_audit_empty():
-    assert Registry().audit()
+    assert audit_records([]) == []
+    assert Registry().audit() == []
+
+
+def test_audit_records_names_every_problem():
+    reg = Registry()
+    for k in range(7):
+        reg.link((k,), (k + 1,))
+    records = reg.records
+    # Stage 2 takes the label stage 0 took; stage 5 claims the wrong stage.
+    records[2] = GeneratorRecord(
+        stage=2, n=2, dom=(2, 0), ran=(3, 0), requested=((2,), (3,)), fresh=0
+    )
+    records[5] = dataclasses.replace(records[5], stage=9)
+    assert audit_records(records) == [
+        "stage 2: dom reuses generator label 0 at coordinate 2",
+        "stage 9 out of order",
+    ]
 
 
 def test_record_line_round_trip():
@@ -291,41 +308,42 @@ def scan_first_protection(records, n, label):
 
 def replay_audit(records):
     """The audit as a replay of every record into fresh label sets, each
-    generator checked before it is added: the oracle for `Registry.audit`,
-    which checks only records it has not passed yet."""
-    used, protected = {}, {}
+    record checked before it is added: the oracle for `audit_records`."""
+    used, protected, problems = {}, {}, []
     for pos, rec in enumerate(records):
         if rec.stage != pos:
-            return False, f"stage {rec.stage} out of order", rec.stage
+            problems.append(f"stage {rec.stage} out of order")
+        elif isinstance(rec, GeneratorRecord):
+            problem = replay_generator_problem(rec, used, protected)
+            if problem:
+                problems.append(f"stage {rec.stage}: {problem}")
         if isinstance(rec, ProtectionRecord):
             for c in rec.tuples:
                 for n, label in enumerate(c, start=1):
                     protected.setdefault(n, set()).add(label)
-            continue
-        problem = None
-        if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
-            problem = f"tuple lengths differ from n={rec.n}"
-        elif not (
-            properly_extends(rec.dom, rec.requested[0])
-            and properly_extends(rec.ran, rec.requested[1])
-        ):
-            problem = "tuples do not properly extend the request"
         else:
-            for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
-                in_used = value in used.get(rec.n, ())
-                if in_used or value in protected.get(rec.n, ()):
-                    kind = "generator label" if in_used else "protected label"
-                    problem = f"{name} reuses {kind} {value} at coordinate {rec.n}"
-                    break
-            else:
-                v = rec.monomial()
-                if normal_form([v, V(rec.dom, rec.dom), adjoint(v)]) != V(rec.ran, rec.ran):
-                    problem = "conjugation identity fails"
-        if problem:
-            return False, f"stage {rec.stage}: {problem}", rec.stage
-        for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
-            used.setdefault(n, set()).update(pair)
-    return True, "ok", None
+            for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
+                used.setdefault(n, set()).update(pair)
+    return problems
+
+
+def replay_generator_problem(rec, used, protected):
+    if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
+        return f"tuple lengths differ from n={rec.n}"
+    if not (
+        properly_extends(rec.dom, rec.requested[0])
+        and properly_extends(rec.ran, rec.requested[1])
+    ):
+        return "tuples do not properly extend the request"
+    for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
+        in_used = value in used.get(rec.n, ())
+        if in_used or value in protected.get(rec.n, ()):
+            kind = "generator label" if in_used else "protected label"
+            return f"{name} reuses {kind} {value} at coordinate {rec.n}"
+    v = rec.monomial()
+    if normal_form([v, V(rec.dom, rec.dom), adjoint(v)]) != V(rec.ran, rec.ran):
+        return "conjugation identity fails"
+    return None
 
 
 def rand_request(rng):
@@ -374,7 +392,7 @@ def test_label_index_matches_record_scans(seed):
                 direct = [r.stage for r in gens if (r.dom, r.ran) == (m.dom, m.ran)]
                 adj = [r.stage for r in gens if (r.ran, r.dom) == (m.dom, m.ran)]
                 assert reg.generator_stages_matching(m) == (direct, adj)
-        assert reg.audit().message == replay_audit(records)[1]
+        assert audit_records(records) == replay_audit(records)
 
 
 def test_protection_by_stage_rejects_other_stages():
@@ -387,7 +405,7 @@ def test_protection_by_stage_rejects_other_stages():
             reg.protection_by_stage(stage)
 
 
-# -- the incremental audit against a fresh replay of the whole log --
+# -- the audit against a fresh replay of the whole log --
 
 
 def hand_generator(rng, stage):
@@ -403,25 +421,17 @@ def hand_generator(rng, stage):
     )
 
 
-def forged(rec, **changes):
-    """A copy of the record with some fields changed, past its own checks."""
-    copy = object.__new__(type(rec))
-    for f in dataclasses.fields(rec):
-        object.__setattr__(copy, f.name, changes.get(f.name, getattr(rec, f.name)))
-    return copy
-
-
 def malformed_generator(rng, stage):
-    """A generator record the constructor would refuse: wrong n, or tuples
-    that do not extend the request."""
+    """A generator record whose fields contradict each other: wrong n, or
+    tuples that do not extend the request."""
     rec = hand_generator(rng, stage)
     if rng.random() < 0.5:
-        return forged(rec, n=rec.n + 1)
-    return forged(rec, requested=(rec.dom, rec.ran))
+        return dataclasses.replace(rec, n=rec.n + 1)
+    return dataclasses.replace(rec, requested=(rec.dom, rec.ran))
 
 
-def test_incremental_audit_matches_fresh_replay():
-    verdicts = set()
+def test_audit_records_matches_fresh_replay():
+    verdicts, counts = set(), set()
     for seed in range(20):
         rng = random.Random(seed)
         reg = Registry()
@@ -449,7 +459,8 @@ def test_incremental_audit_matches_fresh_replay():
                 elif edit == 1:
                     records[pos] = malformed_generator(rng, pos)
                 elif edit == 2:
-                    records[pos] = forged(records[pos], stage=pos + rng.choice((-2, -1, 1, 3)))
+                    stage = pos + rng.choice((-2, -1, 1, 3))
+                    records[pos] = dataclasses.replace(records[pos], stage=stage)
                 else:
                     other = rng.randrange(len(records))
                     records[pos], records[other] = records[other], records[pos]
@@ -457,11 +468,11 @@ def test_incremental_audit_matches_fresh_replay():
                 pos, rec = saved.pop()
                 if pos < len(records):
                     records[pos] = rec
-            for _ in range(rng.randint(1, 2)):
-                report = reg.audit()
-                expected = replay_audit(reg.records)
-                assert (report.ok, report.message, report.stage) == expected
-            verdicts.add(expected[1])
+            problems = audit_records(reg.records)
+            assert problems == replay_audit(reg.records)
+            verdicts.update(problems or ["ok"])
+            counts.add(min(len(problems), 2))
+    assert counts == {0, 1, 2}
     for phrase in (
         "ok", "out of order", "tuple lengths differ", "do not properly extend",
         "reuses generator label", "reuses protected label",
@@ -481,7 +492,7 @@ def count_conjugation_checks(monkeypatch):
     return calls
 
 
-def test_audit_checks_only_new_records(monkeypatch):
+def test_certificate_verify_checks_one_record(monkeypatch):
     rng = random.Random(5)
     reg = Registry()
     for _ in range(300):
@@ -489,18 +500,10 @@ def test_audit_checks_only_new_records(monkeypatch):
             reg.register_protection(rand_state(rng), rng.randint(1, 4))
         else:
             reg.link(rand_request(rng), rand_request(rng))
+    reg = Registry.from_text(reg.to_text())
+    w1 = ideal_projection_witness(reg, Polynomial.projection((1,)), SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, Polynomial.projection((2,)), SequenceDesc((2,), 0))
+    cert = primeness_witness(reg, w1, w2)
     calls = count_conjugation_checks(monkeypatch)
-    assert reg.audit()
-    assert len(calls) == sum(isinstance(rec, GeneratorRecord) for rec in reg.records)
-    del calls[:]
-    reg.link((1,), (2,))
-    assert reg.audit()
+    assert verify_certificate(cert, reg)
     assert len(calls) == 1
-    del calls[:]
-    del reg.records[250:]
-    reg.link((3,), (4,))
-    assert reg.audit()
-    assert len(calls) == 1
-    del calls[:]
-    assert reg.audit()
-    assert calls == []

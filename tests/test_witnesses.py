@@ -7,7 +7,7 @@ from prefixalg.cylinders import SequenceDesc, extends, properly_extends
 from prefixalg.expr import eval_expr, poly_text
 from prefixalg.monomials import V, ZERO, adjoint, multiply, normal_form, projection
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
-from prefixalg.registry import GeneratorRecord, Registry
+from prefixalg.registry import GeneratorRecord, Registry, audit_records
 from prefixalg.witnesses import (
     CASE_BASE,
     CASE_EARLY_ORTHOGONAL,
@@ -109,7 +109,7 @@ def test_primeness_certificate_end_to_end():
     assert properly_extends(rec.ran, w2.alpha)
     assert extends(rec.ran, (2,))
     assert eval_expr(cert.product_expr) == P(rec.ran)
-    assert reg.audit()
+    assert audit_records(reg.records) == []
     assert verify_certificate(cert, reg)
 
 
@@ -133,6 +133,10 @@ def test_certificate_text_round_trip_and_tampering():
 
     tampered = text.replace("claim P", "claim 2 P")
     assert not verify_certificate_text(tampered, reg)
+    tampered = text.replace(" fresh=", " fresh=9", 1)
+    assert verify_certificate_text(tampered, reg).problems == [
+        "malformed certificate: both tuples must end in the fresh label"
+    ]
     tampered = text.replace("scalar 4", "scalar 3") if "scalar 4" in text else text.replace(
         "scalar 1", "scalar 3", 1
     )
@@ -163,9 +167,24 @@ def test_certificate_verify_sees_earlier_record_replaced():
     reg.records[1] = GeneratorRecord(
         stage=1, n=2, dom=(3, 0), ran=(4, 0), requested=((3,), (4,)), fresh=0
     )
-    report = verify_certificate(cert, reg)
-    assert report.problems == [
-        "registry audit fails: stage 1: dom reuses generator label 0 at coordinate 2"
+    assert audit_records(reg.records) == [
+        "stage 1: dom reuses generator label 0 at coordinate 2"
+    ]
+    # The edit is behind the tail, outside the log's contract; verify judges
+    # only the certificate's own record, which the edit leaves sound.
+    assert verify_certificate(cert, reg)
+    # A log whose stage 1 already took the certificate's label 0 at
+    # coordinate 3, appended record by record.
+    bad = Registry()
+    bad.records += [
+        reg.records[0],
+        GeneratorRecord(
+            stage=1, n=3, dom=(3, 0, 0), ran=(4, 0, 0), requested=((3,), (4,)), fresh=0
+        ),
+        cert.generator,
+    ]
+    assert verify_certificate(cert, bad).problems == [
+        "registry audit fails: stage 2: dom reuses generator label 0 at coordinate 3"
     ]
 
 
