@@ -38,22 +38,27 @@ class Scalar:
             return value
         return Scalar(Fraction(value))
 
+    # Arithmetic builds its results with `_scalar`: the parts are Fractions
+    # already, so the conversion in __post_init__ has nothing to do.
+
     def __add__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        o = other if other.__class__ is Scalar else Scalar.of(other)
+        return _scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        o = other if other.__class__ is Scalar else Scalar.of(other)
+        return _scalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: "ScalarLike") -> "Scalar":
         return Scalar.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        o = other if other.__class__ is Scalar else Scalar.of(other)
+        if not self.im and not o.im:
+            return _scalar(self.re * o.re, _ZERO_Q)
+        return _scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -62,19 +67,19 @@ class Scalar:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return self * Scalar(o.re / d, -o.im / d)
+        return self * _scalar(o.re / d, -o.im / d)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     def abs_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def to_text(self) -> str:
         """Canonical text: `0`, `3/2`, `-2`, `i`, `-3/4i`, `1/2+3/4i`, ..."""
@@ -100,7 +105,22 @@ class Scalar:
 
 ScalarLike = Union[Scalar, int, Fraction]
 
+_ZERO_Q = Fraction(0)
+_new_object = object.__new__
+_set_re = Scalar.__dict__["re"].__set__
+_set_im = Scalar.__dict__["im"].__set__
+
+
+def _scalar(re: Fraction, im: Fraction) -> Scalar:
+    """The Scalar re + im*i from two Fractions, built without __post_init__."""
+    s = _new_object(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
+
+
 ONE = Scalar(Fraction(1))
+_ZERO_SCALAR = Scalar(Fraction(0))
 
 
 class Polynomial:
@@ -151,7 +171,8 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Scalar(Fraction(0))) + c
+            prev = res.get(m)
+            s = c if prev is None else prev + c
             if s:
                 res[m] = s
             else:
@@ -176,7 +197,8 @@ class Polynomial:
                     m = multiply(m1, m2)
                     if m is ZERO:
                         continue
-                    s = res.get(m, Scalar(Fraction(0))) + c1 * c2
+                    prev = res.get(m)
+                    s = c1 * c2 if prev is None else prev + c1 * c2
                     if s:
                         res[m] = s
                     else:
@@ -305,19 +327,47 @@ class Polynomial:
                 f"fragment level {index.level} is below the longest tuple "
                 f"in the polynomial ({self.max_tuple_len()})"
             )
-        points = [SequenceDesc(t, index.pad) for t in index.tuples]
-        pos = {x: i for i, x in enumerate(points)}
-        n = len(points)
-        rows = [[Scalar(Fraction(0)) for _ in range(n)] for _ in range(n)]
-        for j, y in enumerate(points):
-            for m, c in self.terms.items():
-                img = act(m, y)
-                if img is None:
-                    continue
-                i = pos.get(img)
-                if i is not None:
-                    rows[i][j] = rows[i][j] + c
-        return FragmentMatrix(index=index, rows=tuple(tuple(r) for r in rows))
+        # Every index tuple t has length `level` and no monomial tuple is
+        # longer, so V(a, b) sends the point t/pad to (b + t[len(a):])/pad
+        # when t begins with a, and kills it otherwise: `act` on tuples.
+        tuples = index.tuples
+        pos = {t: i for i, t in enumerate(tuples)}
+        by_first, everywhere = _by_first_label(
+            (m.dom, m.ran, c) for m, c in self.terms.items()
+        )
+        nonzeros: list[dict[int, Scalar]] = [{} for _ in tuples]
+        for j, t in enumerate(tuples):
+            for rules in (by_first.get(t[0], ()) if t else (), everywhere):
+                for dom, ran, c in rules:
+                    k = len(dom)
+                    if t[:k] == dom:
+                        i = pos.get(ran + t[k:])
+                        if i is not None:
+                            entries = nonzeros[i]
+                            prev = entries.get(j)
+                            entries[j] = c if prev is None else prev + c
+        rows = []
+        for entries in nonzeros:
+            row = [_ZERO_SCALAR] * len(tuples)
+            for j, c in entries.items():
+                row[j] = c
+            rows.append(tuple(row))
+        return FragmentMatrix(index=index, rows=tuple(rows))
+
+
+def _by_first_label(rules: Iterable[tuple]) -> tuple[dict[int, list[tuple]], list[tuple]]:
+    """Prefix rules (source tuple first) grouped by the first label of their
+    source; a rule whose source is the empty tuple applies to every tuple
+    and goes in the second, separate list."""
+    by_first: dict[int, list[tuple]] = {}
+    everywhere: list[tuple] = []
+    for rule in rules:
+        src = rule[0]
+        if src:
+            by_first.setdefault(src[0], []).append(rule)
+        else:
+            everywhere.append(rule)
+    return by_first, everywhere
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,26 +394,29 @@ def fragment_index(polys: Iterable[Polynomial], level: int) -> FragmentIndex:
     pad = 0
     while pad in labels:
         pad += 1
-    rewrites: list[tuple[Tup, Tup]] = []
+    rewrites: set[tuple[Tup, Tup]] = set()
     seeds: set[Tup] = set()
     for p in polys:
         if level < p.max_tuple_len():
             raise ValueError("fragment level is below the longest tuple present")
         for m in p.terms:
-            rewrites.append((m.dom, m.ran))
-            rewrites.append((m.ran, m.dom))
+            rewrites.add((m.dom, m.ran))
+            rewrites.add((m.ran, m.dom))
             seeds.add(m.dom + (pad,) * (level - len(m.dom)))
             seeds.add(m.ran + (pad,) * (level - len(m.ran)))
+    by_first, everywhere = _by_first_label(rewrites)
     closed: set[Tup] = set(seeds)
     frontier = list(seeds)
     while frontier:
         t = frontier.pop()
-        for src, dst in rewrites:
-            if extends(t, src):
-                img = dst + t[len(src):]
-                if img not in closed:
-                    closed.add(img)
-                    frontier.append(img)
+        for rules in (by_first.get(t[0], ()) if t else (), everywhere):
+            for src, dst in rules:
+                k = len(src)
+                if t[:k] == src:
+                    img = dst + t[k:]
+                    if img not in closed:
+                        closed.add(img)
+                        frontier.append(img)
     return FragmentIndex(tuples=tuple(sorted(closed)), level=level, pad=pad)
 
 
@@ -378,44 +431,11 @@ class FragmentMatrix:
     index: FragmentIndex
     rows: tuple[tuple[Scalar, ...], ...]
 
-    def entry(self, z: Tup, y: Tup) -> Scalar:
-        i = self.index.tuples.index(z)
-        j = self.index.tuples.index(y)
-        return self.rows[i][j]
-
     def size(self) -> int:
         return len(self.index.tuples)
 
-    def matmul(self, other: "FragmentMatrix") -> "FragmentMatrix":
-        if self.index != other.index:
-            raise ValueError("fragment matrices live on different index sets")
-        n = self.size()
-        zero = Scalar(Fraction(0))
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = zero
-                for k in range(n):
-                    s = s + self.rows[i][k] * other.rows[k][j]
-                row.append(s)
-            rows.append(tuple(row))
-        return FragmentMatrix(index=self.index, rows=tuple(rows))
-
-    def dagger(self) -> "FragmentMatrix":
-        n = self.size()
-        rows = tuple(
-            tuple(self.rows[j][i].conjugate() for j in range(n)) for i in range(n)
-        )
-        return FragmentMatrix(index=self.index, rows=rows)
-
     def is_hermitian(self) -> bool:
-        n = self.size()
-        return all(
-            self.rows[i][j] == self.rows[j][i].conjugate()
-            for i in range(n)
-            for j in range(i, n)
-        )
+        return _hermitian(_nonzeros(self.rows))
 
     def is_positive_semidefinite(self) -> bool:
         """Exact semidefiniteness, judged block by block.
@@ -426,9 +446,10 @@ class FragmentMatrix:
         PSD iff every pivot stays nonnegative and a zero pivot forces a zero
         row and column; no floating point involved.
         """
-        if not self.is_hermitian():
+        nonzeros = _nonzeros(self.rows)
+        if not _hermitian(nonzeros):
             return False
-        return all(_schur_psd(self.rows, block) for block in _blocks(self.rows))
+        return all(_schur_psd(nonzeros, block) for block in _blocks(nonzeros))
 
     def to_text(self) -> str:
         """Row-major exact text: header line, then one row per line."""
@@ -441,10 +462,30 @@ class FragmentMatrix:
         return "\n".join(lines)
 
 
-def _blocks(rows: tuple[tuple[Scalar, ...], ...]) -> list[list[int]]:
+def _nonzeros(rows: tuple[tuple[Scalar, ...], ...]) -> list[dict[int, Scalar]]:
+    """Each row's nonzero entries, by column. Rows that `fragment_matrix`
+    builds share one zero, which is skipped without testing it."""
+    return [{j: c for j, c in enumerate(row) if c is not _ZERO_SCALAR and c} for row in rows]
+
+
+def _hermitian(nonzeros: list[dict[int, Scalar]]) -> bool:
+    """Whether the matrix with these nonzero entries equals its conjugate
+    transpose: every nonzero entry has a nonzero mirror, and each pair on or
+    above the diagonal agrees in `re` and is opposite in `im`."""
+    for i, entries in enumerate(nonzeros):
+        for j, c in entries.items():
+            mirror = nonzeros[j].get(i)
+            if mirror is None:
+                return False
+            if j >= i and (c.re != mirror.re or c.im != -mirror.im):
+                return False
+    return True
+
+
+def _blocks(nonzeros: list[dict[int, Scalar]]) -> list[list[int]]:
     """Connected components of the nonzero pattern of a Hermitian matrix,
     each in ascending index order, ordered by their least index."""
-    n = len(rows)
+    n = len(nonzeros)
     seen = [False] * n
     blocks = []
     for start in range(n):
@@ -455,17 +496,18 @@ def _blocks(rows: tuple[tuple[Scalar, ...], ...]) -> list[list[int]]:
         while frontier:
             i = frontier.pop()
             block.append(i)
-            for j, c in enumerate(rows[i]):
-                if c and not seen[j]:
+            for j in nonzeros[i]:
+                if not seen[j]:
                     seen[j] = True
                     frontier.append(j)
         blocks.append(sorted(block))
     return blocks
 
 
-def _schur_psd(rows: tuple[tuple[Scalar, ...], ...], block: list[int]) -> bool:
-    """Exact Schur-complement elimination of the Hermitian block `block`."""
-    work = [[rows[i][j] for j in block] for i in block]
+def _schur_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
+    """Exact Schur-complement elimination of the Hermitian block `block`,
+    densified from its nonzero entries."""
+    work = [[nonzeros[i].get(j, _ZERO_SCALAR) for j in block] for i in block]
     n = len(work)
     for k in range(n):
         pivot = work[k]
@@ -476,13 +518,13 @@ def _schur_psd(rows: tuple[tuple[Scalar, ...], ...], block: list[int]) -> bool:
             if any(pivot[k + 1:]):
                 return False
             continue
-        inverse = Scalar(1 / d.re)
+        inverse = 1 / d.re
         cols = [j for j in range(k + 1, n) if pivot[j]]
         for i in range(k + 1, n):
             row = work[i]
             if not row[k]:
                 continue
-            factor = row[k] * inverse
+            factor = _scalar(row[k].re * inverse, row[k].im * inverse)
             for j in cols:
                 row[j] = row[j] - factor * pivot[j]
     return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .cylinders import Tup, format_tuple, parse_tuple_text, properly_extends
 from .monomials import V, normal_form
@@ -364,33 +364,40 @@ def record_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
 
 
 def record_from_fields(fields: dict[str, str], lineno: int) -> Record:
-    """The record a parsed record line describes, taken as written."""
+    """The record a parsed record line describes, taken as written. A missing
+    or unreadable field is a ValueError naming the line and the field."""
     kind = fields["_kind"]
-    try:
-        if kind == "generator":
-            return GeneratorRecord(
-                requested=(
-                    parse_tuple_text(fields["req_dom"]),
-                    parse_tuple_text(fields["req_ran"]),
-                ),
-                stage=int(fields["stage"]),
-                n=int(fields["n"]),
-                fresh=int(fields["fresh"]),
-                dom=parse_tuple_text(fields["dom"]),
-                ran=parse_tuple_text(fields["ran"]),
-            )
-        if kind == "protection":
-            stage, horizon = int(fields["stage"]), int(fields["horizon"])
-            tuples, state = fields["tuples"], fields["state"]
-            return ProtectionRecord(
-                stage=stage,
-                tuples=tuple(parse_tuple_text(t) for t in tuples.split("|")) if tuples else (),
-                horizon=horizon,
-                state=None if state == "-" else parse_state_text(state),
-            )
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: {kind} record has no field {exc.args[0]}") from None
+
+    def field(name: str, parse: Callable[[str], Any]) -> Any:
+        if name not in fields:
+            raise ValueError(f"line {lineno}: {kind} record has no field {name}")
+        try:
+            return parse(fields[name])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {kind} record field {name}: {exc}") from None
+
+    if kind == "generator":
+        return GeneratorRecord(
+            requested=(field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)),
+            stage=field("stage", int),
+            n=field("n", int),
+            fresh=field("fresh", int),
+            dom=field("dom", parse_tuple_text),
+            ran=field("ran", parse_tuple_text),
+        )
+    if kind == "protection":
+        return ProtectionRecord(
+            stage=field("stage", int),
+            horizon=field("horizon", int),
+            tuples=field("tuples", _parse_tuples),
+            state=field("state", lambda text: None if text == "-" else parse_state_text(text)),
+        )
     raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
+
+
+def _parse_tuples(text: str) -> tuple[Tup, ...]:
+    """`(1)|(1,2)` as a tuple of tuples; the empty text holds none."""
+    return tuple([parse_tuple_text(t) for t in text.split("|")]) if text else ()
 
 
 def parse_record_line(line: str, lineno: int) -> dict[str, str]:
@@ -399,6 +406,6 @@ def parse_record_line(line: str, lineno: int) -> dict[str, str]:
     for part in parts[1:]:
         key, sep, value = part.partition("=")
         if not sep:
-            raise RegistryError(f"line {lineno}: malformed field {part!r}")
+            raise ValueError(f"line {lineno}: malformed field {part!r}")
         fields[key] = value
     return fields

@@ -75,13 +75,14 @@ class Session:
             _, name, kind = parts
             block: list[str] = []
             i += 1
+            first_line = i + 1
             while i < len(lines) and lines[i].strip() != "end binding":
                 block.append(lines[i])
                 i += 1
             if i >= len(lines):
                 raise RegistryError(f"unterminated binding {name!r}")
             i += 1
-            session.bind(name, _parse_binding(kind, block))
+            session.bind(name, _parse_binding(kind, block, first_line))
         return session
 
     def save(self, path: Union[str, Path]) -> None:
@@ -99,7 +100,9 @@ class Session:
         return Session()
 
 
-def _parse_binding(kind: str, block: list[str]) -> Binding:
+def _parse_binding(kind: str, block: list[str], first_line: int) -> Binding:
+    """The binding a block holds; `first_line` is the file line of its first
+    line."""
     from .parser import parse_expr
 
     if kind == "polynomial":
@@ -108,5 +111,5 @@ def _parse_binding(kind: str, block: list[str]) -> Binding:
         witness, _ = parse_witness_block(block, 0)
         return witness
     if kind == "trace":
-        return parse_trace_lines(block)
+        return parse_trace_lines(block, first_line)
     raise RegistryError(f"unknown binding kind {kind!r}")

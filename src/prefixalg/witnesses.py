@@ -636,17 +636,19 @@ def verify_certificate_text(text: str, reg: Optional[Registry] = None) -> Verify
     return verify_certificate(cert, reg)
 
 
-def parse_trace_lines(lines: list[str]) -> VanishingTrace:
+def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
+    """The trace these lines hold; errors name the line, counting the first
+    given line as `first_line`."""
     fields: dict[str, str] = {}
     steps: list[TraceStep] = []
     final: Optional[Tup] = None
-    for line in lines:
+    for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line:
             continue
         key, _, value = line.partition(" ")
         if key == "step":
-            f = parse_record_line(line, 0)
+            f = parse_record_line(line, lineno)
             steps.append(
                 TraceStep(
                     position=int(f["pos"]),
@@ -657,7 +659,7 @@ def parse_trace_lines(lines: list[str]) -> VanishingTrace:
                 )
             )
         elif key == "final":
-            f = parse_record_line(line, 0)
+            f = parse_record_line(line, lineno)
             final = parse_tuple_text(f["carrier"])
         else:
             fields[key] = value
@@ -682,7 +684,7 @@ def parse_trace_text(text: str) -> VanishingTrace:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "prefixalg trace v1":
         raise ValueError("not a trace file (bad header)")
-    return parse_trace_lines(lines[1:])
+    return parse_trace_lines(lines[1:], first_line=2)
 
 
 def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:

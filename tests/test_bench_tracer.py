@@ -1,0 +1,41 @@
+"""The benchmark's tracer wraps program names it looks up in class and
+module dictionaries, so renaming or deleting one breaks every traced run."""
+
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import prefixalg
+from prefixalg.polynomials import FragmentMatrix, Polynomial, Scalar, fragment_index
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    """bench/tracer.py as a module, compiled in memory so that nothing is
+    written next to it."""
+    module = types.ModuleType("bench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(module))
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_the_package():
+    classes = (Scalar, Polynomial, FragmentMatrix)
+    before = [dict(vars(cls)) for cls in classes]
+    tracer = load_tracer().Tracer()
+    tracer.install(prefixalg)
+    try:
+        assert vars(Scalar)["__post_init__"] is not before[0]["__post_init__"]
+        q = Polynomial.isometry((1,), (2,)) + Polynomial.projection((1,))
+        square = q.adjoint() * q
+        index = prefixalg.polynomials.fragment_index([q, square], 1)
+        assert square.fragment_matrix(index=index).is_positive_semidefinite()
+        Scalar(Fraction(1, 2))
+    finally:
+        tracer.uninstall()
+    assert prefixalg.polynomials.fragment_index is fragment_index
+    assert [dict(vars(cls)) for cls in classes] == before
+    metrics = tracer.layer_metrics(ops=1)
+    assert metrics["polynomials.scalars_built"] >= 1
+    assert metrics["polynomials.fragment_rows"] == len(index.tuples)
+    assert metrics["polynomials.psd_ms"] > 0

@@ -176,6 +176,35 @@ def test_certificate_missing_field_is_malformed(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_malformed_field_is_a_problem_not_a_usage_error(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    cert_path = tmp_path / "cert.txt"
+    run("--session", session, "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--out", str(cert_path))
+    lines = cert_path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(" n=", " n= k")
+    cert_path.write_text("".join(lines))
+    capsys.readouterr()
+    code, text = run("--session", session, "verify", str(cert_path))
+    assert (code, text) == (1, "problem malformed certificate: line 2: malformed field 'k3'\n")
+    assert capsys.readouterr().err == ""
+
+    run("--session", session, "register-state", "1@(5)/0", "4")
+    pivot = run("--session", session, "vanishing-tuple", "1")[1].strip()
+    trace_path = tmp_path / "trace.txt"
+    run("--session", session, "lemma2", "1", f"P({pivot})", "--out", str(trace_path))
+    lines = trace_path.read_text().splitlines(keepends=True)
+    step = next(i for i, line in enumerate(lines) if line.startswith("step "))
+    lines[step] = lines[step].replace(" case=", " case= x")
+    trace_path.write_text("".join(lines))
+    capsys.readouterr()
+    code, text = run("--session", session, "verify", str(trace_path))
+    assert (code, text) == (
+        1, f"problem malformed trace: line {step + 1}: malformed field 'xbase'\n"
+    )
+    assert capsys.readouterr().err == ""
+
+
 def test_prime_witness_rejects_zero_point():
     code, _ = run("prime-witness", "P((1))", "(3)/0", "P((2))", "(2)/0")
     assert code == 1
@@ -297,6 +326,38 @@ def test_session_record_missing_field_names_line_and_field(tmp_path, capsys):
     text = "prefixalg session v1\nprotection stage=0 horizon=1 tuples=(4)\n"
     assert session_error(tmp_path, capsys, text) == (
         2, "", "error: line 2: protection record has no field state\n"
+    )
+
+
+def test_session_record_bad_field_names_line_and_field(tmp_path, capsys):
+    generator = "generator stage=0 req_dom=(1) req_ran=(2) n=2 fresh=0 dom=(1,0) ran=(2,0)"
+    cases = [
+        (generator.replace("stage=0", "stage=x1"),
+         "generator record field stage: invalid literal for int() with base 10: 'x1'"),
+        (generator.replace("dom=(1,0)", "dom=(1,x)"),
+         "generator record field dom: malformed label 'x' in tuple '(1,x)'"),
+        ("protection stage=0 horizon=1 tuples=(4)|(x) state=-",
+         "protection record field tuples: malformed label 'x' in tuple '(x)'"),
+        ("protection stage=0 horizon=1 tuples=(5) state=1@(5",
+         "protection record field state: malformed sequence description '(5'"),
+        (generator.replace(" n=", " n= k"), "malformed field 'k2'"),
+    ]
+    for line, message in cases:
+        text = f"prefixalg session v1\n{line}\n"
+        assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+
+
+def test_session_trace_binding_error_names_file_line(tmp_path, capsys):
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "register-state", "1@(5)/0", "4")
+    pivot = run("--session", str(session), "vanishing-tuple", "0")[1].strip()
+    run("--session", str(session), "lemma2", "0", f"P({pivot})", "--name", "t")
+    lines = session.read_text().splitlines()
+    step = next(i for i, line in enumerate(lines) if line.startswith("step "))
+    lines[step] = lines[step].replace(" case=", " case= x")
+    text = "\n".join(lines) + "\n"
+    assert session_error(tmp_path, capsys, text) == (
+        2, "", f"error: line {step + 1}: malformed field 'xbase'\n"
     )
 
 

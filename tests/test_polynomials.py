@@ -311,6 +311,34 @@ def test_cauchy_schwarz():
 # -- fragment matrices ---------------------------------------------------------------
 
 
+def entry(m, z, y):
+    """The entry of fragment matrix m at row tuple z, column tuple y."""
+    return m.rows[m.index.tuples.index(z)][m.index.tuples.index(y)]
+
+
+def matmul(a, b):
+    """The dense product of two fragment matrices on one index."""
+    n = a.size()
+    zero = Scalar(Fraction(0))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = zero
+            for k in range(n):
+                s = s + a.rows[i][k] * b.rows[k][j]
+            row.append(s)
+        rows.append(tuple(row))
+    return FragmentMatrix(index=a.index, rows=tuple(rows))
+
+
+def dagger(m):
+    """The conjugate transpose of a fragment matrix."""
+    n = m.size()
+    rows = tuple(tuple(m.rows[j][i].conjugate() for j in range(n)) for i in range(n))
+    return FragmentMatrix(index=m.index, rows=rows)
+
+
 def test_fragment_examples():
     m = P((1,)).fragment_matrix(1)
     assert m.index.tuples == ((1,),)
@@ -318,9 +346,9 @@ def test_fragment_examples():
 
     m = Iso((1,), (2,)).fragment_matrix(1)
     assert m.index.tuples == ((1,), (2,))
-    assert m.entry((2,), (1,)) == Scalar(Fraction(1))
-    assert m.entry((1,), (2,)) == Scalar(Fraction(0))
-    assert m.entry((1,), (1,)) == Scalar(Fraction(0))
+    assert entry(m, (2,), (1,)) == Scalar(Fraction(1))
+    assert entry(m, (1,), (2,)) == Scalar(Fraction(0))
+    assert entry(m, (1,), (1,)) == Scalar(Fraction(0))
 
 
 def test_fragment_pad_is_fresh_and_recorded():
@@ -352,8 +380,65 @@ def test_fragment_faithful_on_shared_index():
         index = fragment_index([p, q], 2)
         mp = p.fragment_matrix(index=index)
         mq = q.fragment_matrix(index=index)
-        assert (p * q).fragment_matrix(index=index).rows == mp.matmul(mq).rows
-        assert p.adjoint().fragment_matrix(index=index).rows == mp.dagger().rows
+        assert (p * q).fragment_matrix(index=index).rows == matmul(mp, mq).rows
+        assert p.adjoint().fragment_matrix(index=index).rows == dagger(mp).rows
+
+
+def test_fragment_entries_match_pointwise_action():
+    """Every entry equals the pointwise matrix element through `act`, on
+    indices closed over several polynomials, including the empty tuple."""
+    rng = random.Random(17)
+    for _ in range(40):
+        level = rng.randint(1, 3)
+
+        def rand_poly():
+            out = Polynomial.zero()
+            for _ in range(rng.randint(1, 5)):
+                n = rng.randint(0, level)
+                out = out + Polynomial.of(
+                    V(
+                        tuple(rng.randint(0, 3) for _ in range(n)),
+                        tuple(rng.randint(0, 3) for _ in range(n)),
+                    ),
+                    Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))),
+                )
+            return out
+
+        p, q = rand_poly(), rand_poly()
+        index = fragment_index([p, q], level)
+        for poly in (p, q, p * q, p.adjoint() * p):
+            m = poly.fragment_matrix(index=index)
+            for i, z in enumerate(index.tuples):
+                for j, y in enumerate(index.tuples):
+                    expected = poly.matrix_element(
+                        SequenceDesc(z, index.pad), SequenceDesc(y, index.pad)
+                    )
+                    assert m.rows[i][j] == expected
+
+
+def test_hermitian_check_rejects_broken_mirrors():
+    index = FragmentIndex(tuples=((0,), (1,), (2,)), level=1, pad=3)
+    zero = Scalar(Fraction(0))
+    c = Scalar(Fraction(1), Fraction(2))
+
+    def matrix(entries):
+        rows = [[zero] * 3 for _ in range(3)]
+        for (i, j), value in entries.items():
+            rows[i][j] = value
+        return FragmentMatrix(index=index, rows=tuple(tuple(r) for r in rows))
+
+    diagonal = {(0, 0): Scalar(Fraction(5)), (1, 1): Scalar(Fraction(5)), (2, 2): Scalar(Fraction(5))}
+    assert matrix({**diagonal, (0, 2): c, (2, 0): c.conjugate()}).is_positive_semidefinite()
+    broken = [
+        {**diagonal, (0, 2): c},  # a nonzero entry whose mirror is zero
+        {**diagonal, (2, 0): c},  # the same, below the diagonal
+        {**diagonal, (0, 2): c, (2, 0): c},  # the mirror differs only in the sign of im
+        {**diagonal, (1, 1): Scalar(Fraction(5), Fraction(1))},  # a diagonal entry off the reals
+    ]
+    for entries in broken:
+        m = matrix(entries)
+        assert not m.is_hermitian()
+        assert not m.is_positive_semidefinite()
 
 
 def test_fragment_psd_of_star_squares():
