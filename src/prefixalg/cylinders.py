@@ -95,7 +95,7 @@ def format_seqdesc(x: SequenceDesc) -> str:
 
 
 def parse_tuple_text(text: str) -> Tup:
-    """Parse `(1,5,2)` or `()`; labels are non-negative integers."""
+    """Parse `(1,5,2)` or `()`; labels are non-negative integers in ASCII digits."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"malformed tuple literal {text!r}")
@@ -105,7 +105,7 @@ def parse_tuple_text(text: str) -> Tup:
     out = []
     for piece in body.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):
             raise ValueError(f"malformed label {piece!r} in tuple {text!r}")
         out.append(int(piece))
     return tuple(out)
@@ -115,6 +115,7 @@ def parse_seqdesc_text(text: str) -> SequenceDesc:
     """Parse `(1,2)/0`: a prefix tuple, a slash, and the constant tail label."""
     s = text.strip()
     head, sep, tail = s.rpartition("/")
-    if not sep or not tail.strip().isdigit():
+    tail = tail.strip()
+    if not (sep and tail.isascii() and tail.isdigit()):
         raise ValueError(f"malformed sequence description {text!r}")
-    return SequenceDesc(parse_tuple_text(head), int(tail.strip()))
+    return SequenceDesc(parse_tuple_text(head), int(tail))

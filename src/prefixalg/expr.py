@@ -14,7 +14,7 @@ from typing import Union
 
 from .cylinders import Tup, format_tuple
 from .monomials import V, Monomial, adjoint as monomial_adjoint
-from .polynomials import Polynomial, Scalar
+from .polynomials import ONE, Polynomial, Scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +63,18 @@ def eval_expr(e: Expr) -> Polynomial:
     if isinstance(e, Adj):
         return eval_expr(e.inner).adjoint()
     if isinstance(e, Product):
-        out = Polynomial.unit()
+        # Scalar factors commute with everything: fold them into one
+        # coefficient and scale by it once.
+        coeff, out = ONE, None
         for f in e.factors:
-            out = out * eval_expr(f)
-        return out
+            if isinstance(f, ScalarLit):
+                coeff = coeff * f.value
+            else:
+                p = eval_expr(f)
+                out = p if out is None else out * p
+        if out is None:
+            out = Polynomial.unit()
+        return out if coeff is ONE else out.scale(coeff)
     if isinstance(e, Sum):
         out = Polynomial.zero()
         for sign, term in e.terms:

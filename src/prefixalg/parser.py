@@ -9,19 +9,22 @@ Grammar, loosest binding first (whitespace is insignificant):
             | '(' expr ')'
     tuple  := '(' [int (',' int)*] ')'
     scalar := int ['/' int] ['i'] | 'i'
+    int    := [0-9]+
 
 Adjoint binds tighter than product, product tighter than sum. Juxtaposition
 multiplies, so `1/2 P((1))` is a scalar multiple of a projection.
+
+Tokens are plain strings. A token's line and column are worked out, by
+re-scanning the text, only for the error that names them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from .expr import Adj, Expr, Iso, Product, Proj, ScalarLit, Sum
+from .expr import Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, expr_to_word
 from .monomials import Monomial
 from .polynomials import Scalar
-from .expr import expr_to_word
 
 
 class ParseError(ValueError):
@@ -31,54 +34,32 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # INT PUNCT NAME EOF
-    text: str
-    line: int
-    col: int
+# Anything but whitespace, ASCII digits, punctuation and the three names;
+# `\s` admits exactly the characters `str.isspace` does.
+_BAD = re.compile(r"[^\s0-9(),;+\-*/'PVi]")
+# Once _BAD has found nothing, every other non-space character is a token.
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
-_PUNCT = set("(),;+-*/'")
-_NAMES = {"P", "V", "i"}
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of text[offset]; only a newline ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            start_col = col
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-                col += 1
-            tokens.append(Token("INT", text[start:pos], line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        if ch in _NAMES:
-            tokens.append(Token("NAME", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+def tokenize(text: str) -> list[str]:
+    """The token strings of text, then "" for end of input."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", *_position(text, bad.start()))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
+
+
+def token_position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token k, re-scanned; end of input sits just past the text."""
+    starts = [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
+    return _position(text, starts[k])
 
 
 # Deeper parenthesis nesting is refused with a ParseError rather than left
@@ -86,41 +67,52 @@ def tokenize(text: str) -> list[Token]:
 MAX_NESTING = 100
 
 
+# The tokens a factor can start with, by their first character.
+_FACTOR_START = frozenset("0123456789PVi(")
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """A ParseError at token k (by default the next), positioned by a re-scan."""
+        return ParseError(message, *token_position(self.text, self.pos if k is None else k))
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.pos - 1)
+
+    def integer(self) -> int:
+        """The next token, a run of ASCII digits, as an int."""
+        tok = self.next()
+        try:
+            return int(tok)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer literal too long ({len(tok)} digits)", self.pos - 1) from None
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self) -> Expr:
         terms: list[tuple[int, Expr]] = []
         sign = 1
-        if self.peek().text == "-":
+        if self.peek() == "-":
             self.next()
             sign = -1
         terms.append((sign, self.term()))
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek() in ("+", "-"):
+            op = self.next()
             terms.append((1 if op == "+" else -1, self.term()))
         if len(terms) == 1 and terms[0][0] > 0:
             return terms[0][1]
@@ -131,10 +123,10 @@ class _Parser:
         factors = [self.factor()]
         while True:
             tok = self.peek()
-            if tok.text == "*":
+            if tok == "*":
                 self.next()
                 factors.append(self.factor())
-            elif tok.kind == "INT" or tok.kind == "NAME" or tok.text == "(":
+            elif tok[:1] in _FACTOR_START:
                 factors.append(self.factor())
             else:
                 break
@@ -145,40 +137,39 @@ class _Parser:
     # factor := atom ["'"]
     def factor(self) -> Expr:
         node = self.atom()
-        if self.peek().text == "'":
+        if self.peek() == "'":
             self.next()
             node = Adj(node)
         return node
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "INT":
+        if tok.isdigit():
             return ScalarLit(self.scalar())
-        if tok.text == "i":
+        if tok == "i":
             self.next()
             return ScalarLit(Scalar(Fraction(0), Fraction(1)))
-        if tok.text == "P":
+        if tok == "P":
             self.next()
             self.expect("(")
             t = self.tuple_literal()
             self.expect(")")
             return Proj(t)
-        if tok.text == "V":
+        if tok == "V":
             self.next()
             self.expect("(")
             dom = self.tuple_literal()
             self.expect(";")
             ran = self.tuple_literal()
-            close = self.expect(")")
+            self.expect(")")
             if len(dom) != len(ran):
-                raise ParseError(
-                    f"tuple length mismatch in V: {len(dom)} vs {len(ran)}",
-                    close.line, close.col,
+                raise self.error(
+                    f"tuple length mismatch in V: {len(dom)} vs {len(ran)}", self.pos - 1
                 )
             return Iso(dom, ran)
-        if tok.text == "(":
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise self.fail(f"parentheses nested deeper than {MAX_NESTING} levels")
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING} levels")
             self.next()
             self.depth += 1
             inner = self.expr()
@@ -189,24 +180,22 @@ class _Parser:
                 # scalar, so it prints back as it was written.
                 return ScalarLit(sum(t.value if sign > 0 else -t.value for sign, t in inner.terms))
             return inner
-        raise self.fail(f"expected a scalar, P(...), V(...;...) or parenthesized "
-                        f"expression, found {tok.text or 'end of input'!r}")
+        raise self.error(f"expected a scalar, P(...), V(...;...) or parenthesized "
+                         f"expression, found {tok or 'end of input'!r}")
 
     # scalar := int ['/' int] ['i']
     def scalar(self) -> Scalar:
-        tok = self.next()
-        num = int(tok.text)
+        num = self.integer()
         den = 1
-        if self.peek().text == "/":
+        if self.peek() == "/":
             self.next()
-            den_tok = self.next()
-            if den_tok.kind != "INT":
-                raise ParseError("expected a denominator", den_tok.line, den_tok.col)
-            den = int(den_tok.text)
+            if not self.peek().isdigit():
+                raise self.error("expected a denominator")
+            den = self.integer()
             if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                raise self.error("zero denominator", self.pos - 1)
         value = Fraction(num, den)
-        if self.peek().text == "i":
+        if self.peek() == "i":
             self.next()
             return Scalar(Fraction(0), value)
         return Scalar(value)
@@ -215,29 +204,25 @@ class _Parser:
     def tuple_literal(self) -> tuple[int, ...]:
         self.expect("(")
         entries: list[int] = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             while True:
-                tok = self.next()
-                if tok.kind != "INT":
-                    raise ParseError(
-                        f"expected a label, found {tok.text or 'end of input'!r}",
-                        tok.line, tok.col,
-                    )
-                entries.append(int(tok.text))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+                tok = self.peek()
+                if not tok.isdigit():
+                    raise self.error(f"expected a label, found {tok or 'end of input'!r}")
+                entries.append(self.integer())
+                if self.peek() != ",":
+                    break
+                self.next()
         self.expect(")")
         return tuple(entries)
 
 
 def parse_expr(text: str) -> Expr:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
     tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    if tok:
+        raise parser.error(f"trailing input starting at {tok!r}")
     return node
 
 

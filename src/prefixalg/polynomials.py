@@ -56,6 +56,10 @@ class Scalar:
 
     def __mul__(self, other: "ScalarLike") -> "Scalar":
         o = other if other.__class__ is Scalar else Scalar.of(other)
+        if self is ONE:
+            return o
+        if o is ONE:
+            return self
         if not self.im and not o.im:
             return _scalar(self.re * o.re, _ZERO_Q)
         return _scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
@@ -153,7 +157,7 @@ class Polynomial:
         return Polynomial({V((), ()): ONE})
 
     @staticmethod
-    def of(m: Monomial, coeff: ScalarLike = 1) -> "Polynomial":
+    def of(m: Monomial, coeff: ScalarLike = ONE) -> "Polynomial":
         if m is ZERO:
             return Polynomial()
         return Polynomial({m: Scalar.of(coeff)})

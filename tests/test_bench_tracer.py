@@ -6,7 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import prefixalg
+from prefixalg.cylinders import SequenceDesc
 from prefixalg.polynomials import FragmentMatrix, Polynomial, Scalar, fragment_index
+from prefixalg.registry import Registry
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -39,3 +41,25 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     assert metrics["polynomials.scalars_built"] >= 1
     assert metrics["polynomials.fragment_rows"] == len(index.tuples)
     assert metrics["polynomials.psd_ms"] > 0
+
+
+def test_tracer_sees_the_certificate_text_layers():
+    # A change that routes the text path around a wrapped name would zero
+    # its layer in every traced run; here it fails instead.
+    tracer = load_tracer().Tracer()
+    tracer.install(prefixalg)
+    try:
+        wit = prefixalg.witnesses
+        reg = Registry()
+        q1 = Polynomial.isometry((1,), (2,)) + Polynomial.projection((1, 3))
+        q2 = Polynomial.projection((2,)).scale(Scalar(Fraction(2)))
+        w1 = wit.ideal_projection_witness(reg, q1, SequenceDesc((1,), 0))
+        w2 = wit.ideal_projection_witness(reg, q2, SequenceDesc((2,), 0))
+        text = wit.primeness_witness(reg, w1, w2).to_text()
+        assert wit.verify_certificate_text(text, reg).ok
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(ops=1)
+    for layer in ("parser.parse_ms", "expr.eval_ms", "polynomials.product_ms"):
+        assert metrics[layer] > 0, layer
+    assert metrics["monomials.multiply_calls"] >= 1

@@ -91,7 +91,7 @@ def test_tuple_text_round_trip():
 
 
 def test_tuple_text_rejects_garbage():
-    for bad in ["", "(", "(1,", "(1,-2)", "1,2", "(a)"]:
+    for bad in ["", "(", "(1,", "(1,-2)", "1,2", "(a)", "(²)", "(1,٣)"]:
         with pytest.raises(ValueError):
             parse_tuple_text(bad)
 
@@ -99,5 +99,6 @@ def test_tuple_text_rejects_garbage():
 def test_seqdesc_text_round_trip():
     for x in [SequenceDesc((1, 2), 0), SequenceDesc((), 7)]:
         assert parse_seqdesc_text(format_seqdesc(x)) == x
-    with pytest.raises(ValueError):
-        parse_seqdesc_text("(1,2)")
+    for bad in ["(1,2)", "(1,2)/٣", "(1,2)/²", "(٣)/0"]:
+        with pytest.raises(ValueError):
+            parse_seqdesc_text(bad)

@@ -5,10 +5,15 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from prefixalg.expr import eval_expr, from_polynomial, poly_text, print_expr
+from prefixalg.cylinders import SequenceDesc
+from prefixalg.expr import (
+    Product, ScalarLit, Sum, eval_expr, from_polynomial, poly_text, print_expr,
+)
 from prefixalg.monomials import V, adjoint
-from prefixalg.parser import ParseError, parse_expr, parse_word
+from prefixalg.parser import ParseError, parse_expr, parse_word, token_position, tokenize
 from prefixalg.polynomials import Polynomial, Scalar
+from prefixalg.registry import Registry
+from prefixalg.witnesses import ideal_projection_witness, primeness_witness
 
 P = Polynomial.projection
 Iso = Polynomial.isometry
@@ -63,20 +68,43 @@ def test_empty_tuple_unit():
     assert evaluate("P(()) P((1))") == P((1,))
 
 
+SCALAR_EXPECTED = "expected a scalar, P(...), V(...;...) or parenthesized expression"
+DIGITS = "9" * 5000
+# One case for each place a ParseError is raised. str.isdigit admits both
+# non-ASCII digits; int() rejects '²' and reads '٣' as 3, so neither may
+# reach it. An integer longer than int() converts names its position too.
+ERROR_MESSAGES = [
+    ("P((1)) + @", "unexpected character '@' (line 1, column 10)"),
+    ("P((1)", "expected ')', found 'end of input' (line 1, column 6)"),
+    ("P((1)) P((2)) +", f"{SCALAR_EXPECTED}, found 'end of input' (line 1, column 16)"),
+    ("", f"{SCALAR_EXPECTED}, found 'end of input' (line 1, column 1)"),
+    ("1/0", "zero denominator (line 1, column 3)"),
+    ("1/\n  0", "zero denominator (line 2, column 3)"),
+    ("1/ P((1))", "expected a denominator (line 1, column 4)"),
+    ("P((1)) junk((2))", "unexpected character 'j' (line 1, column 8)"),
+    ("V((1);(2,3))", "tuple length mismatch in V: 1 vs 2 (line 1, column 12)"),
+    (" \r\n V((1,2);\n(3))", "tuple length mismatch in V: 2 vs 1 (line 3, column 4)"),
+    ("P((1,))", "expected a label, found ')' (line 1, column 6)"),
+    ("V((1)\n(2))", "expected ';', found '(' (line 2, column 1)"),
+    ("(P((1))", "expected ')', found 'end of input' (line 1, column 8)"),
+    ("P((1))\t)", "trailing input starting at ')' (line 1, column 8)"),
+    ("(" * 101 + "P((1))" + ")" * 101,
+     "parentheses nested deeper than 100 levels (line 1, column 101)"),
+    ("P((²))", "unexpected character '²' (line 1, column 4)"),
+    ("P((٣))", "unexpected character '٣' (line 1, column 4)"),
+    ("1 +\n 1/٣", "unexpected character '٣' (line 2, column 4)"),
+    (f"P((1)) + {DIGITS} P((2))", "integer literal too long (5000 digits) (line 1, column 10)"),
+    (f"P((1,\n  {DIGITS}))", "integer literal too long (5000 digits) (line 2, column 3)"),
+    (f"1/{DIGITS}", "integer literal too long (5000 digits) (line 1, column 3)"),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as exc:
-        parse_expr("P((1)) + @")
-    assert "column 10" in str(exc.value)
-    with pytest.raises(ParseError):
-        parse_expr("P((1)")
-    with pytest.raises(ParseError):
-        parse_expr("P((1)) P((2)) +")
-    with pytest.raises(ParseError):
-        parse_expr("1/0")
-    with pytest.raises(ParseError):
-        parse_expr("")
-    with pytest.raises(ParseError):
-        parse_expr("P((1)) junk((2))")
+    for text, message in ERROR_MESSAGES:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == message
+    assert evaluate(DIGITS[:4300]) == Polynomial.unit().scale(int(DIGITS[:4300]))
 
 
 def test_parse_word():
@@ -135,3 +163,169 @@ def test_print_parse_expr_round_trip(a, b):
     for node in nodes:
         text = print_expr(node)
         assert eval_expr(parse_expr(text)) == eval_expr(node)
+
+
+# -- tokenizer positions against the character-loop reference ------------------
+
+
+def reference_tokenize(text):
+    """The character-at-a-time tokenizer the regex one replaced, kept as the
+    oracle for token strings and their (line, column) positions."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        if ch.isspace():
+            col += 1
+            pos += 1
+            continue
+        if ch.isdigit():
+            start = pos
+            start_col = col
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+                col += 1
+            tokens.append((text[start:pos], line, start_col))
+            continue
+        if ch in "(),;+-*/'" or ch in "PVi":
+            tokens.append((ch, line, col))
+            pos += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("", line, col))
+    return tokens
+
+
+def certificate_expressions(rng, count):
+    """The expression fields of printed primeness certificates over random
+    witnesses, one field a line, as in the certificate file."""
+    out = []
+    while len(out) < count:
+        reg = Registry()
+        witnesses = []
+        for _ in range(2):
+            q = rand_polynomial(rng)
+            x = SequenceDesc(tuple(rng.randint(0, 9) for _ in range(3)), 0)
+            if (q.adjoint() * q).g_eval(x):
+                witnesses.append(ideal_projection_witness(reg, q, x))
+        if len(witnesses) < 2:
+            continue
+        text = primeness_witness(reg, *witnesses).to_text()
+        out.append([value for line in text.splitlines()
+                    for key, _, value in [line.partition(" ")]
+                    if key in ("root", "source", "certificate", "product", "claim")])
+    return out
+
+
+MUTATIONS = ["\n", "\r", "\t", " ", "@", "(", ")", "'", "*", "7", "/", "i", ""]
+
+
+def mutate(rng, text):
+    """Replace, insert or delete a few characters."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randint(0, len(chars))
+        insert = rng.choice(MUTATIONS)
+        if rng.random() < 0.5 or at == len(chars):
+            chars.insert(at, insert)
+        else:
+            chars[at] = insert
+    return "".join(chars)
+
+
+def check_tokens(text, rng=None):
+    """Compare tokenize with the reference: the same token strings, and the
+    same (line, column) re-scanned for every token, or for a sample drawn
+    with rng (each re-scan is linear in the text); or the same error.
+    Returns the reference's positions."""
+    try:
+        expected = reference_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert str(got.value) == str(exc)
+        return [(exc.line, exc.col)]
+    tokens = tokenize(text)
+    assert tokens == [tok for tok, _, _ in expected]
+    n = len(tokens)
+    ks = range(n) if rng is None else {0, n - 1, *rng.sample(range(n), min(n, 8))}
+    for k in ks:
+        assert token_position(text, k) == expected[k][1:]
+    return [tok[1:] for tok in expected]
+
+
+def parse_outcome(text):
+    """parse_expr raises nothing but ParseError; its position is that of a
+    reference token or of the unexpected character."""
+    try:
+        parse_expr(text)
+    except ParseError as exc:
+        return exc.line, exc.col
+    return None
+
+
+def test_tokens_and_positions_match_reference_on_certificates():
+    rng = random.Random(8)
+    texts = []
+    for fields in certificate_expressions(rng, 12):
+        texts.extend(fields)
+        texts.append("\n".join(fields))
+        texts.append("\r\n".join(fields))
+    texts += [mutate(rng, rng.choice(texts)) for _ in range(600)]
+    errors = 0
+    for text in texts:
+        assert text.isascii()
+        positions = check_tokens(text, rng)
+        where = parse_outcome(text)
+        if where is not None:
+            errors += 1
+            assert where in positions
+    assert 100 < errors < len(texts)
+
+
+@given(st.text())
+def test_parse_expr_raises_only_parse_errors(text):
+    parse_outcome(text)
+    if text.isascii():
+        check_tokens(text)
+
+
+# -- products against a left-to-right fold ------------------------------------
+
+
+def fold_product(factors):
+    """The product as the unit times each factor in turn, left to right."""
+    out = Polynomial.unit()
+    for f in factors:
+        out = out * eval_expr(f)
+    return out
+
+
+def test_product_matches_left_to_right_fold():
+    rng = random.Random(11)
+    scalars = [parse_expr(text) for text in ("0", "i", "(1/2+i)", "3", "(-1/4i)")]
+    assert all(isinstance(s, ScalarLit) for s in scalars)
+    others = [parse_expr(text) for text in (
+        "P((1))", "V((1);(2))", "V((2,0);(1,3))'", "P(())",
+        "(P((1)) + 1/2 V((3);(1)) - i P((1,2)))",
+    )]
+    assert isinstance(others[-1], Sum)
+    shapes = [
+        [scalars[0]], [scalars[1]], [scalars[2], scalars[1]],
+        [scalars[2], others[0]], [others[1], scalars[1]], [others[4], scalars[2], others[1]],
+        [scalars[0], others[4]], [others[0], scalars[0], others[4]],
+    ]
+    for _ in range(200):
+        shapes.append([rng.choice(scalars + others) for _ in range(rng.randint(1, 5))])
+    for factors in shapes:
+        got, expected = eval_expr(Product(tuple(factors))), fold_product(factors)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+        assert poly_text(got) == poly_text(expected)
