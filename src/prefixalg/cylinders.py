@@ -94,6 +94,14 @@ def format_seqdesc(x: SequenceDesc) -> str:
     return f"{format_tuple(x.prefix)}/{x.tail}"
 
 
+def parse_natural(text: str) -> int:
+    """A non-negative integer in ASCII digits; what `int` refuses gets its message."""
+    value = int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed natural number {text!r}")
+    return value
+
+
 def parse_tuple_text(text: str) -> Tup:
     """Parse `(1,5,2)` or `()`; labels are non-negative integers in ASCII digits."""
     s = text.strip()
@@ -107,7 +115,10 @@ def parse_tuple_text(text: str) -> Tup:
         piece = piece.strip()
         if not (piece.isascii() and piece.isdigit()):
             raise ValueError(f"malformed label {piece!r} in tuple {text!r}")
-        out.append(int(piece))
+        try:
+            out.append(int(piece))
+        except ValueError:
+            raise ValueError(f"label too long ({len(piece)} digits) in tuple {text!r}") from None
     return tuple(out)
 
 
@@ -118,4 +129,8 @@ def parse_seqdesc_text(text: str) -> SequenceDesc:
     tail = tail.strip()
     if not (sep and tail.isascii() and tail.isdigit()):
         raise ValueError(f"malformed sequence description {text!r}")
-    return SequenceDesc(parse_tuple_text(head), int(tail))
+    prefix = parse_tuple_text(head)
+    try:
+        return SequenceDesc(prefix, int(tail))
+    except ValueError:
+        raise ValueError(f"label too long ({len(tail)} digits) in point {text!r}") from None

@@ -599,16 +599,17 @@ def format_state(rho: DiagonalState) -> str:
 
 
 def parse_state_text(text: str) -> DiagonalState:
-    """Parse `1/2@(1,2)/0;1/2@(3)/7`: weighted points, weights summing to 1."""
-    from .cylinders import parse_seqdesc_text
+    """Parse `1/2@(1,2)/0;1/2@(3)/7`: points with `n` or `n/d` weights summing to 1."""
+    from .cylinders import parse_natural, parse_seqdesc_text
 
     points = []
     for item in text.strip().split(";"):
         weight_text, sep, point_text = item.partition("@")
         if not sep:
             raise ValueError(f"malformed state item {item!r} (expected weight@point)")
+        num, slash, den = weight_text.strip().partition("/")
         try:
-            w = Fraction(weight_text.strip())
+            w = Fraction(parse_natural(num), parse_natural(den) if slash else 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed state weight {weight_text!r}") from exc
         points.append((parse_seqdesc_text(point_text), w))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .cylinders import Tup, format_tuple, parse_tuple_text, properly_extends
+from .cylinders import Tup, format_tuple, parse_natural, parse_tuple_text, properly_extends
 from .monomials import V, normal_form
 from .polynomials import DiagonalState, format_state, parse_state_text
 
@@ -364,35 +365,44 @@ def record_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
 
 
 def record_from_fields(fields: dict[str, str], lineno: int) -> Record:
-    """The record a parsed record line describes, taken as written. A missing
-    or unreadable field is a ValueError naming the line and the field."""
+    """The record a parsed record line describes, taken as written. Reading
+    takes the fields out of `fields`; a missing, unreadable or unknown field
+    is a ValueError naming the line and the field."""
     kind = fields["_kind"]
-
-    def field(name: str, parse: Callable[[str], Any]) -> Any:
-        if name not in fields:
-            raise ValueError(f"line {lineno}: {kind} record has no field {name}")
-        try:
-            return parse(fields[name])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {kind} record field {name}: {exc}") from None
-
+    field = partial(take_field, fields, lineno)
     if kind == "generator":
-        return GeneratorRecord(
+        rec: Record = GeneratorRecord(
             requested=(field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)),
-            stage=field("stage", int),
-            n=field("n", int),
-            fresh=field("fresh", int),
+            stage=field("stage", parse_natural),
+            n=field("n", parse_natural),
+            fresh=field("fresh", parse_natural),
             dom=field("dom", parse_tuple_text),
             ran=field("ran", parse_tuple_text),
         )
-    if kind == "protection":
-        return ProtectionRecord(
-            stage=field("stage", int),
-            horizon=field("horizon", int),
+    elif kind == "protection":
+        rec = ProtectionRecord(
+            stage=field("stage", parse_natural),
+            horizon=field("horizon", parse_natural),
             tuples=field("tuples", _parse_tuples),
             state=field("state", lambda text: None if text == "-" else parse_state_text(text)),
         )
-    raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
+    else:
+        raise RegistryError(f"line {lineno}: unknown record kind {kind!r}")
+    if len(fields) > 1:
+        extra = next(key for key in fields if key != "_kind")
+        raise ValueError(f"line {lineno}: {kind} record has unknown field {extra}")
+    return rec
+
+
+def take_field(fields: dict[str, str], lineno: int, name: str, parse: Callable[[str], Any]) -> Any:
+    """Take one field out of a parsed record line and read it with `parse`;
+    a missing or unreadable field is a ValueError naming the line and field."""
+    if name not in fields:
+        raise ValueError(f"line {lineno}: {fields['_kind']} record has no field {name}")
+    try:
+        return parse(fields.pop(name))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {fields['_kind']} record field {name}: {exc}") from None
 
 
 def _parse_tuples(text: str) -> tuple[Tup, ...]:
@@ -407,5 +417,7 @@ def parse_record_line(line: str, lineno: int) -> dict[str, str]:
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: malformed field {part!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated field {key!r}")
         fields[key] = value
     return fields

@@ -73,16 +73,14 @@ class Session:
             if len(parts) != 3 or parts[0] != "binding":
                 raise RegistryError(f"malformed binding header {line!r}")
             _, name, kind = parts
-            block: list[str] = []
             i += 1
-            first_line = i + 1
+            start = i
             while i < len(lines) and lines[i].strip() != "end binding":
-                block.append(lines[i])
                 i += 1
             if i >= len(lines):
                 raise RegistryError(f"unterminated binding {name!r}")
+            session.bind(name, _parse_binding(kind, lines, start, i))
             i += 1
-            session.bind(name, _parse_binding(kind, block, first_line))
         return session
 
     def save(self, path: Union[str, Path]) -> None:
@@ -100,16 +98,15 @@ class Session:
         return Session()
 
 
-def _parse_binding(kind: str, block: list[str], first_line: int) -> Binding:
-    """The binding a block holds; `first_line` is the file line of its first
-    line."""
+def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding:
+    """The binding held by lines[start:end] of a file's lines; errors name
+    the file line."""
     from .parser import parse_expr
 
     if kind == "polynomial":
-        return eval_expr(parse_expr("\n".join(block)))
+        return eval_expr(parse_expr("\n".join(lines[start:end])))
     if kind == "witness":
-        witness, _ = parse_witness_block(block, 0)
-        return witness
+        return parse_witness_block(lines, start)[0]
     if kind == "trace":
-        return parse_trace_lines(block, first_line)
+        return parse_trace_lines(lines[start:end], start + 1)
     raise RegistryError(f"unknown binding kind {kind!r}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Union
 
 from .cylinders import (
@@ -29,6 +30,7 @@ from .cylinders import (
     Tup,
     extends,
     format_tuple,
+    parse_natural,
     parse_tuple_text,
 )
 from .expr import (
@@ -61,6 +63,7 @@ from .registry import (
     parse_record_line,
     record_from_fields,
     record_problem,
+    take_field,
 )
 
 
@@ -292,11 +295,12 @@ class ZeroReport:
 
 def _classify_word(
     reg: Registry, pivot: Tup, word: list[Monomial]
-) -> list[tuple[V, Optional[tuple[list[int], list[int]]]]]:
-    """Validate every factor; isometries must be registered generators."""
+) -> list[Optional[tuple[list[int], list[int]]]]:
+    """Validate every factor; isometries must be registered generators.
+    Each factor's (direct, adjoint) issuing stages, None for a projection."""
     if not word:
         raise WitnessError("the word must be non-empty")
-    classified = []
+    stages = []
     pivot_proj = V(pivot, pivot)
     has_pivot = False
     for m in word:
@@ -306,7 +310,7 @@ def _classify_word(
         if m == pivot_proj:
             has_pivot = True
         if is_projection(m):
-            classified.append((m, None))
+            stages.append(None)
             continue
         direct, adj = reg.generator_stages_matching(m)
         if not direct and not adj:
@@ -314,82 +318,54 @@ def _classify_word(
                 f"factor {format_monomial(m)} is not a registered generator "
                 f"or the adjoint of one"
             )
-        classified.append((m, (direct, adj)))
+        stages.append((direct, adj))
     if not has_pivot:
         raise WitnessError(
             f"the word must contain the pivot projection {format_monomial(pivot_proj)}"
         )
-    return classified
+    return stages
 
 
-def _generator_step(
-    position: int, case: str, carrier: Tup, stage: int, direct: list[int]
-) -> TraceStep:
-    """A step through a generator factor, marked adjoint when the stage
-    issued the factor's adjoint rather than the factor itself."""
-    return TraceStep(position, case, carrier, stage, adjoint=stage not in direct)
-
-
-def _narrate(
+def _walk(
+    reg: Registry,
     prot: ProtectionRecord,
     pivot: Tup,
     word: list[Monomial],
-    classified: list[tuple[V, Optional[tuple[list[int], list[int]]]]],
-    expect_nonzero: bool,
+    stages: list[Optional[tuple[list[int], list[int]]]],
 ) -> tuple[list[TraceStep], Optional[Tup], str]:
-    """Run the induction from the leftmost pivot outward.
+    """Run the induction from the leftmost pivot leftward, one factor a step.
 
-    Returns (steps, final carrier or None, reason). In the nonzero case a
-    structural dead end is impossible and raises SoundnessError instead.
+    Each step extends the suffix product by its factor and checks its
+    carrier against it. Returns (steps, final carrier, "") or, at a dead
+    end, (steps, None, reason).
     """
-    pivot_proj = V(pivot, pivot)
-    anchor = next(i for i, m in enumerate(word) if m == pivot_proj)
-    steps: list[TraceStep] = []
-    carrier = pivot
-    case = CASE_BASE if anchor == len(word) - 1 else CASE_LEFT_ANCHOR
-    steps.append(TraceStep(position=anchor + 1, case=case, carrier=carrier))
-    for i in range(anchor - 1, -1, -1):
-        m, stages = classified[i]
-        n = len(carrier)
-        if stages is None:
-            steps.append(
-                TraceStep(position=i + 1, case=CASE_PROJECTION, carrier=carrier)
-            )
-            continue
-        direct, adj = stages
-        depth = len(m.dom)
-        if n > depth:
+    anchor = word.index(V(pivot, pivot))
+    carrier, steps = pivot, []
+    for i in range(anchor, -1, -1):
+        m, issued, stage = word[i], stages[i], None
+        if i == anchor:
+            case = CASE_BASE if anchor == len(word) - 1 else CASE_LEFT_ANCHOR
+        elif issued is None:
+            case = CASE_PROJECTION
+        elif len(carrier) > len(m.dom):
             if not extends(carrier, m.dom):
-                if expect_nonzero:
-                    raise SoundnessError(
-                        "nonzero word with a factor orthogonal to the carrier"
-                    )
-                return (
-                    steps,
-                    None,
-                    f"factor at position {i + 1} misses the carrier cylinder",
-                )
-            stage = max(direct + adj)
-            carrier = m.ran + carrier[depth:]
-            steps.append(_generator_step(i + 1, CASE_PREFIX_REWRITE, carrier, stage, direct))
+                return steps, None, f"factor at position {i + 1} misses the carrier cylinder"
+            case, stage = CASE_PREFIX_REWRITE, max(issued[0] + issued[1])
+            carrier = m.ran + carrier[len(m.dom):]
         else:
-            late = [s for s in direct + adj if s > prot.stage]
-            if not late:
-                stage = max(direct + adj)
-                steps.append(_generator_step(i + 1, CASE_EARLY_ORTHOGONAL, carrier, stage, direct))
-                if expect_nonzero:
-                    raise SoundnessError(
-                        "nonzero word blocked by a pre-protection generator"
-                    )
-                return (
-                    steps,
-                    None,
-                    f"factor at position {i + 1} was issued before the protection "
-                    f"and cannot meet the carrier",
-                )
-            stage = max(late)
-            carrier = m.ran
-            steps.append(_generator_step(i + 1, CASE_LATE_DOMINATES, carrier, stage, direct))
+            late = [s for s in issued[0] + issued[1] if s > prot.stage]
+            case = CASE_LATE_DOMINATES if late else CASE_EARLY_ORTHOGONAL
+            stage = max(late or issued[0] + issued[1])
+            carrier = m.ran if late else carrier
+        # A generator step is marked adjoint when its stage issued the
+        # factor's adjoint rather than the factor itself.
+        adjoint = issued is not None and stage not in issued[0]
+        steps.append(TraceStep(i + 1, case, carrier, stage, adjoint))
+        suffix = multiply(m, suffix) if i < anchor else normal_form(word[anchor:])
+        _check_carrier(reg, prot, carrier, suffix)
+        if case == CASE_EARLY_ORTHOGONAL:
+            why = "was issued before the protection and cannot meet the carrier"
+            return steps, None, f"factor at position {i + 1} {why}"
     return steps, carrier, ""
 
 
@@ -428,33 +404,14 @@ def vanishing_witness(
             f"pivot {format_tuple(pivot)} is not the vanishing tuple "
             f"of the given protection"
         )
-    classified = _classify_word(reg, pivot, word)
-    nf = normal_form(word)
-    if nf is ZERO:
-        steps, _, reason = _narrate(prot, pivot, word, classified, False)
-        return ZeroReport(
-            word=tuple(word),
-            pivot=pivot,
-            prot_stage=prot.stage,
-            steps=tuple(steps),
-            reason=reason or "the factors multiply to the zero operator",
-        )
-    steps, carrier, _ = _narrate(prot, pivot, word, classified, True)
-    assert carrier is not None
-    # Verify the claim for every step against its suffix product, not just
-    # at the end; the suffix normal forms are rebuilt right to left.
-    suffix_nf: list[Monomial] = list(word)
-    for i in range(len(word) - 2, -1, -1):
-        suffix_nf[i] = multiply(word[i], suffix_nf[i + 1])
-    for step in steps:
-        _check_carrier(reg, prot, step.carrier, suffix_nf[step.position - 1])
-    return VanishingTrace(
-        word=tuple(word),
-        pivot=pivot,
-        prot_stage=prot.stage,
-        steps=tuple(steps),
-        carrier=carrier,
-    )
+    steps, carrier, reason = _walk(reg, prot, pivot, word, _classify_word(reg, pivot, word))
+    walked = dict(word=tuple(word), pivot=pivot, prot_stage=prot.stage, steps=tuple(steps))
+    if normal_form(word) is ZERO:
+        return ZeroReport(**walked, reason=reason or "the factors multiply to the zero operator")
+    if carrier is None:
+        # Only a registry edited out of soundness stops a nonzero word.
+        raise SoundnessError(f"nonzero word at a dead end: {reason}")
+    return VanishingTrace(**walked, carrier=carrier)
 
 
 def _horizon_problem(trace: VanishingTrace, prot: ProtectionRecord) -> Optional[str]:
@@ -494,7 +451,6 @@ def check_state_vanishes(
         raise WitnessError("the supplied trace is for another word, pivot or protection")
     else:
         result = trace
-    nf = normal_form(word)
     if isinstance(result, ZeroReport):
         return Scalar(Fraction(0))
     problem = _horizon_problem(result, prot)
@@ -502,7 +458,7 @@ def check_state_vanishes(
         raise HorizonError(problem)
     if rho.evaluate(Polynomial.projection(result.carrier)):
         raise SoundnessError("state has mass on the carrier cylinder")
-    value = rho.evaluate(Polynomial.of(nf))
+    value = rho.evaluate(Polynomial.of(normal_form(word)))
     if value:
         raise SoundnessError("state evaluation is nonzero despite a verified trace")
     return value
@@ -536,18 +492,27 @@ def _parse_scalar(text: str) -> Scalar:
     return terms[unit]
 
 
+WITNESS_FIELDS = ("alpha", "scalar", "root", "source", "certificate")
+
+
 def parse_witness_block(lines: list[str], start: int) -> tuple[IdealWitness, int]:
-    """Parse a witness block beginning at lines[start] == 'witness'."""
+    """Parse the witness block at lines[start]; errors name lines[i] as line i + 1."""
     if lines[start].strip() != "witness":
         raise ValueError(f"expected a witness block at line {start + 1}")
     fields: dict[str, str] = {}
     i = start + 1
     while i < len(lines) and lines[i].strip() != "end witness":
         key, _, value = lines[i].strip().partition(" ")
+        if key not in WITNESS_FIELDS or key in fields:
+            what = "repeated" if key in fields else "unknown"
+            raise ValueError(f"line {i + 1}: {what} witness field {key!r}")
         fields[key] = value
         i += 1
     if i >= len(lines):
         raise ValueError("unterminated witness block")
+    if len(fields) != len(WITNESS_FIELDS):
+        missing = next(key for key in WITNESS_FIELDS if key not in fields)
+        raise ValueError(f"witness block has no field {missing}")
     witness = IdealWitness(
         source=_parse_poly(fields["source"]),
         alpha=parse_tuple_text(fields["alpha"]),
@@ -569,25 +534,21 @@ def parse_certificate_text(text: str) -> PrimenessCertificate:
     rec.check()
     w1, nxt = parse_witness_block(lines, 2)
     w2, nxt = parse_witness_block(lines, nxt)
-    product_expr: Optional[Expr] = None
-    claim_text: Optional[str] = None
+    tail: dict[str, str] = {}
     for line in lines[nxt:]:
         line = line.strip()
         if not line:
             continue
         key, _, value = line.partition(" ")
-        if key == "product":
-            product_expr = parse_expr(value)
-        elif key == "claim":
-            claim_text = value
-        else:
+        if key not in ("product", "claim") or key in tail:
             raise ValueError(f"unexpected certificate line {line!r}")
-    if product_expr is None or claim_text is None:
+        tail[key] = value
+    if len(tail) != 2:
         raise ValueError("certificate is missing its product or claim")
     cert = PrimenessCertificate(
-        witness1=w1, witness2=w2, generator=rec, product_expr=product_expr
+        witness1=w1, witness2=w2, generator=rec, product_expr=parse_expr(tail["product"])
     )
-    if _parse_poly(claim_text) != cert.claim():
+    if _parse_poly(tail["claim"]) != cert.claim():
         raise ValueError("certificate claim does not match its generator record")
     return cert
 
@@ -651,20 +612,22 @@ def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
             f = parse_record_line(line, lineno)
             steps.append(
                 TraceStep(
-                    position=int(f["pos"]),
-                    case=f["case"],
-                    carrier=parse_tuple_text(f["carrier"]),
-                    stage=None if f["stage"] == "-" else int(f["stage"]),
-                    adjoint=f["adjoint"] == "1",
+                    position=take_field(f, lineno, "pos", parse_natural),
+                    case=take_field(f, lineno, "case", str),
+                    carrier=take_field(f, lineno, "carrier", parse_tuple_text),
+                    stage=take_field(f, lineno, "stage", _parse_stage),
+                    adjoint=take_field(f, lineno, "adjoint", str) == "1",
                 )
             )
         elif key == "final":
-            f = parse_record_line(line, lineno)
-            final = parse_tuple_text(f["carrier"])
+            final = take_field(parse_record_line(line, lineno), lineno, "carrier", parse_tuple_text)
         else:
             fields[key] = value
     if final is None:
         raise ValueError("trace is missing its final carrier")
+    missing = next((key for key in ("word", "pivot", "prot") if key not in fields), None)
+    if missing:
+        raise ValueError(f"trace has no {missing} line")
     word: list[Monomial] = []
     for part in fields["word"].split("|"):
         factors = parse_word(part)
@@ -674,10 +637,14 @@ def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
     return VanishingTrace(
         word=tuple(word),
         pivot=parse_tuple_text(fields["pivot"]),
-        prot_stage=int(fields["prot"]),
+        prot_stage=parse_natural(fields["prot"]),
         steps=tuple(steps),
         carrier=final,
     )
+
+
+def _parse_stage(text: str) -> Optional[int]:
+    return None if text == "-" else parse_natural(text)
 
 
 def parse_trace_text(text: str) -> VanishingTrace:
@@ -710,8 +677,15 @@ def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
 
 
 def verify_trace_text(text: str, reg: Registry) -> VerifyReport:
+    """Parse, insist that the text is exactly what the parsed trace prints,
+    then verify the trace."""
     try:
         trace = parse_trace_text(text)
-    except (ValueError, KeyError, IndexError) as exc:
+        lines = zip_longest(text.splitlines(), trace.to_text().splitlines())
+        for lineno, (line, canonical) in enumerate(lines, start=1):
+            if line != canonical:
+                want = "no line" if canonical is None else repr(canonical)
+                raise ValueError(f"line {lineno} does not read back exactly (expected {want})")
+    except ValueError as exc:
         return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
     return verify_trace(trace, reg)

@@ -373,3 +373,178 @@ def test_session_replay_error_names_file_line(tmp_path, capsys):
     assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 3: {mismatch}\n")
     text = "\n".join([header, first, "", tampered]) + "\n"
     assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 4: {mismatch}\n")
+
+
+def verify_edited(tmp_path, capsys, session, path, edit):
+    """Exit code, stdout and stderr of `verify` on a copy of a file whose
+    lines `edit` changed in place."""
+    lines = path.read_text().splitlines()
+    edit(lines)
+    edited = tmp_path / f"edited-{path.name}"
+    edited.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code, text = run("--session", session, "verify", str(edited))
+    return code, text, capsys.readouterr().err
+
+
+def late_trace(tmp_path):
+    """A session and a genuine trace through a generator issued after the
+    protection, so a step carries a stage."""
+    session = str(tmp_path / "s.txt")
+    run("--session", session, "register-state", "1@(5)/0", "4")
+    pivot = run("--session", session, "vanishing-tuple", "0")[1].strip()
+    line = run("--session", session, "link", pivot, "(6)")[1]
+    fields = dict(f.split("=") for f in line.split()[1:])
+    trace_path = tmp_path / "trace.txt"
+    word = f"P({fields['ran']}) V({fields['dom']};{fields['ran']}) P({pivot})"
+    assert run("--session", session, "lemma2", "0", word, "--out", str(trace_path))[0] == 0
+    return session, trace_path
+
+
+def test_verify_trace_must_read_back_exactly(tmp_path, capsys):
+    session, trace_path = late_trace(tmp_path)
+    assert run("--session", session, "verify", str(trace_path)) == (0, "verified ok\n")
+    lines = trace_path.read_text().splitlines()
+    late = next(i for i, line in enumerate(lines) if "case=late-dominates" in line)
+    final = len(lines) - 1
+
+    def replace(index, old, new):
+        def edit(lines):
+            assert old in lines[index]
+            lines[index] = lines[index].replace(old, new)
+        return edit
+
+    cases = [
+        (replace(late, "adjoint=0", "adjoint=7"), late, lines[late]),
+        (replace(final, "depth=2", "depth=9"), final, lines[final]),
+        (replace(late, " carrier=", " extra=1 carrier="), late, lines[late]),
+        (lambda lines: lines.insert(2, "junk line"), 2, lines[2]),
+        (lambda lines: lines.append("junk line"), final + 1, None),
+    ]
+    for edit, index, expected in cases:
+        want = "no line" if expected is None else repr(expected)
+        problem = f"line {index + 1} does not read back exactly (expected {want})"
+        assert verify_edited(tmp_path, capsys, session, trace_path, edit) == (
+            1, f"problem malformed trace: {problem}\n", ""
+        )
+    step = dict(f.split("=") for f in lines[late].split()[1:])
+    for field in ("pos", "stage"):
+        arabic = "".join(chr(0x660 + int(d)) for d in step[field])  # ٠١٢…
+        edit = replace(late, f"{field}={step[field]}", f"{field}={arabic}")
+        assert verify_edited(tmp_path, capsys, session, trace_path, edit) == (
+            1,
+            f"problem malformed trace: line {late + 1}: step record field {field}: "
+            f"malformed natural number {arabic!r}\n",
+            "",
+        )
+
+
+def test_verify_trace_names_missing_key_and_bad_field(tmp_path, capsys):
+    session, trace_path = late_trace(tmp_path)
+    lines = trace_path.read_text().splitlines()
+    late = next(i for i, line in enumerate(lines) if "case=late-dominates" in line)
+    for key in ("prot", "pivot", "word"):
+        def drop(lines, key=key):
+            lines[:] = [line for line in lines if not line.startswith(f"{key} ")]
+        assert verify_edited(tmp_path, capsys, session, trace_path, drop) == (
+            1, f"problem malformed trace: trace has no {key} line\n", ""
+        )
+
+    def bad_pos(lines):
+        lines[late] = lines[late].replace(" pos=", " pos=x")
+    assert verify_edited(tmp_path, capsys, session, trace_path, bad_pos) == (
+        1,
+        f"problem malformed trace: line {late + 1}: step record field pos: "
+        "invalid literal for int() with base 10: 'x2'\n",
+        "",
+    )
+
+    def no_carrier(lines):
+        lines[-1] = "final depth=2"
+    assert verify_edited(tmp_path, capsys, session, trace_path, no_carrier) == (
+        1, f"problem malformed trace: line {len(lines)}: final record has no field carrier\n", ""
+    )
+
+
+def test_verify_certificate_checks_keys_and_fields(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    cert_path = tmp_path / "cert.txt"
+    run("--session", session, "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--out", str(cert_path))
+    lines = cert_path.read_text().splitlines()
+    scalar = lines.index("scalar 1")
+
+    def insert(index, line):
+        return lambda lines: lines.insert(index, line)
+
+    def replace(index, old, new):
+        def edit(lines):
+            lines[index] = lines[index].replace(old, new, 1)
+        return edit
+
+    def drop(prefix):
+        def edit(lines):
+            lines.remove(next(line for line in lines if line.startswith(prefix)))
+        return edit
+
+    cases = [
+        (insert(scalar, "junk line"), f"line {scalar + 1}: unknown witness field 'junk'"),
+        (insert(scalar, "scalar 1"), f"line {scalar + 2}: repeated witness field 'scalar'"),
+        (drop("source "), "witness block has no field source"),
+        (replace(1, " fresh=", " extra=1 fresh="),
+         "line 2: generator record has unknown field extra"),
+        (replace(1, " n=", " stage=3 n="), "line 2: repeated field 'stage'"),
+        (insert(len(lines), lines[-1]), f"unexpected certificate line {lines[-1]!r}"),
+    ]
+    for edit, problem in cases:
+        assert verify_edited(tmp_path, capsys, session, cert_path, edit) == (
+            1, f"problem malformed certificate: {problem}\n", ""
+        )
+
+
+def test_session_refuses_unknown_fields_and_non_ascii_digits(tmp_path, capsys):
+    generator = "generator stage=0 req_dom=(1) req_ran=(2) n=2 fresh=0 dom=(1,0) ran=(2,0)"
+    cases = [
+        (generator + " extra=1", "generator record has unknown field extra"),
+        (generator.replace("n=2", "n=2 n=2"), "repeated field 'n'"),
+        (generator.replace("stage=0", "stage=١"),
+         "generator record field stage: malformed natural number '١'"),
+        ("protection stage=0 horizon=١ tuples=(5) state=1@(5)/0",
+         "protection record field horizon: malformed natural number '١'"),
+    ]
+    for line, message in cases:
+        text = f"prefixalg session v1\n{line}\n"
+        assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+
+
+def test_session_witness_binding_errors_name_file_line(tmp_path, capsys):
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "link", "(7)", "(8)")
+    run("--session", str(session), "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--bind", "c")
+    lines = session.read_text().splitlines()
+    scalar = lines.index("scalar 1")
+    lines.insert(scalar, "scalar 1")
+    text = "\n".join(lines) + "\n"
+    assert session_error(tmp_path, capsys, text) == (
+        2, "", f"error: line {scalar + 2}: repeated witness field 'scalar'\n"
+    )
+
+
+def test_non_ascii_state_weight_is_usage_error(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    capsys.readouterr()
+    assert run("--session", session, "register-state", "٣/٣@(5)/0", "4") == (2, "")
+    assert capsys.readouterr().err == "error: malformed state weight '٣/٣'\n"
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_oversize_label_names_the_label(capsys):
+    label = "9" * 5000
+    for args, where in [
+        (("compress", "P((1))", f"({label})"), f"tuple '({label})'"),
+        (("geval", "P((1))", f"(1)/{label}"), f"point '(1)/{label}'"),
+    ]:
+        capsys.readouterr()
+        assert run(*args) == (2, "")
+        assert capsys.readouterr().err == f"error: label too long (5000 digits) in {where}\n"

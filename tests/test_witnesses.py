@@ -1,13 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from prefixalg.cylinders import SequenceDesc, extends, properly_extends
+from prefixalg.cylinders import SequenceDesc, extends, format_tuple, properly_extends
 from prefixalg.expr import eval_expr, poly_text
-from prefixalg.monomials import V, ZERO, adjoint, multiply, normal_form, projection
+from prefixalg.monomials import (
+    V,
+    ZERO,
+    adjoint,
+    format_monomial,
+    is_projection,
+    multiply,
+    normal_form,
+    projection,
+)
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
-from prefixalg.registry import GeneratorRecord, Registry, audit_records
+from prefixalg.registry import GeneratorRecord, ProtectionRecord, Registry, audit_records
 from prefixalg.witnesses import (
     CASE_BASE,
     CASE_EARLY_ORTHOGONAL,
@@ -16,6 +26,9 @@ from prefixalg.witnesses import (
     CASE_PREFIX_REWRITE,
     CASE_PROJECTION,
     HorizonError,
+    SoundnessError,
+    TraceStep,
+    VanishingTrace,
     WitnessError,
     ZeroReport,
     check_state_vanishes,
@@ -461,3 +474,229 @@ def test_poly_text_in_witness_blocks_round_trips():
     lines = w.to_lines()
     root_line = next(l for l in lines if l.startswith("root "))
     assert root_line == f"root {poly_text(q)}"
+
+
+# -- the walk against the two-pass reference -------------------------------------------
+
+
+def _reference_classify(reg, pivot, word):
+    if not word:
+        raise WitnessError("the word must be non-empty")
+    classified = []
+    pivot_proj = V(pivot, pivot)
+    has_pivot = False
+    for m in word:
+        if m is ZERO:
+            raise WitnessError("the zero operator is not a word factor")
+        if m == pivot_proj:
+            has_pivot = True
+        if is_projection(m):
+            classified.append((m, None))
+            continue
+        direct, adj = reg.generator_stages_matching(m)
+        if not direct and not adj:
+            raise WitnessError(
+                f"factor {format_monomial(m)} is not a registered generator "
+                f"or the adjoint of one"
+            )
+        classified.append((m, (direct, adj)))
+    if not has_pivot:
+        raise WitnessError(
+            f"the word must contain the pivot projection {format_monomial(pivot_proj)}"
+        )
+    return classified
+
+
+def _reference_narrate(prot, pivot, word, classified, expect_nonzero):
+    anchor = next(i for i, m in enumerate(word) if m == V(pivot, pivot))
+    carrier = pivot
+    case = CASE_BASE if anchor == len(word) - 1 else CASE_LEFT_ANCHOR
+    steps = [TraceStep(position=anchor + 1, case=case, carrier=carrier)]
+    for i in range(anchor - 1, -1, -1):
+        m, stages = classified[i]
+        if stages is None:
+            steps.append(TraceStep(position=i + 1, case=CASE_PROJECTION, carrier=carrier))
+            continue
+        direct, adj = stages
+        depth = len(m.dom)
+        if len(carrier) > depth:
+            if not extends(carrier, m.dom):
+                if expect_nonzero:
+                    raise SoundnessError("nonzero word with a factor orthogonal to the carrier")
+                return steps, None, f"factor at position {i + 1} misses the carrier cylinder"
+            stage = max(direct + adj)
+            carrier = m.ran + carrier[depth:]
+            steps.append(TraceStep(i + 1, CASE_PREFIX_REWRITE, carrier, stage, stage not in direct))
+        else:
+            late = [s for s in direct + adj if s > prot.stage]
+            if not late:
+                stage = max(direct + adj)
+                steps.append(
+                    TraceStep(i + 1, CASE_EARLY_ORTHOGONAL, carrier, stage, stage not in direct)
+                )
+                if expect_nonzero:
+                    raise SoundnessError("nonzero word blocked by a pre-protection generator")
+                return (
+                    steps,
+                    None,
+                    f"factor at position {i + 1} was issued before the protection "
+                    f"and cannot meet the carrier",
+                )
+            stage = max(late)
+            carrier = m.ran
+            steps.append(TraceStep(i + 1, CASE_LATE_DOMINATES, carrier, stage, stage not in direct))
+    return steps, carrier, ""
+
+
+def _reference_check_carrier(reg, prot, carrier, suffix_nf):
+    n = len(carrier)
+    if multiply(V(carrier, carrier), suffix_nf) != suffix_nf:
+        raise SoundnessError("carrier projection does not absorb the product")
+    first = reg.labels().first_use(n, carrier[-1])
+    if first <= prot.stage:
+        raise SoundnessError(f"carrier coordinate {n} collides with generator stage {first}")
+    for c in prot.tuples:
+        if n <= len(c) and c[n - 1] == carrier[-1]:
+            raise SoundnessError(
+                f"carrier coordinate {n} collides with protected tuple {format_tuple(c)}"
+            )
+
+
+def reference_vanishing_witness(reg, prot, pivot, word):
+    """The two-pass pipeline: classify, narrate, then check every carrier
+    against a list of suffix products."""
+    pivot = tuple(pivot)
+    if pivot != reg.vanishing_tuple(prot):
+        raise WitnessError(
+            f"pivot {format_tuple(pivot)} is not the vanishing tuple of the given protection"
+        )
+    classified = _reference_classify(reg, pivot, word)
+    if normal_form(word) is ZERO:
+        steps, _, reason = _reference_narrate(prot, pivot, word, classified, False)
+        return ZeroReport(
+            word=tuple(word),
+            pivot=pivot,
+            prot_stage=prot.stage,
+            steps=tuple(steps),
+            reason=reason or "the factors multiply to the zero operator",
+        )
+    steps, carrier, _ = _reference_narrate(prot, pivot, word, classified, True)
+    suffix_nf = list(word)
+    for i in range(len(word) - 2, -1, -1):
+        suffix_nf[i] = multiply(word[i], suffix_nf[i + 1])
+    for step in steps:
+        _reference_check_carrier(reg, prot, step.carrier, suffix_nf[step.position - 1])
+    return VanishingTrace(
+        word=tuple(word), pivot=pivot, prot_stage=prot.stage, steps=tuple(steps), carrier=carrier
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (WitnessError, SoundnessError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_sound_registry(rng):
+    """Links and one protection through the public API, so the registry is
+    sound; link requests reuse earlier tuples and their prefixes, so that
+    ranges extend domains and every trace case can arise."""
+    reg = Registry()
+    pool = [()] + [(rng.randint(0, 6),) for _ in range(3)]
+
+    def link():
+        rec = reg.link(rng.choice(pool), rng.choice(pool))
+        pool.extend(t[:k] for t in (rec.dom, rec.ran) for k in range(1, len(t) + 1))
+
+    for _ in range(rng.randint(0, 4)):
+        link()
+    rho = DiagonalState(
+        [
+            (SequenceDesc(rng.choice(pool), rng.randint(0, 6)), Fraction(1, 2)),
+            (SequenceDesc((rng.randint(0, 6),), 7), Fraction(1, 2)),
+        ]
+    )
+    prot = reg.register_protection(rho, horizon=rng.randint(1, 4))
+    pivot = reg.vanishing_tuple(prot)
+    pool += [pivot] * 3
+    for _ in range(rng.randint(1, 8)):
+        link()
+    return reg, prot, pivot, pool
+
+
+def _random_word(rng, reg, pivot, pool):
+    gens = [rec.monomial() for rec in reg.records if isinstance(rec, GeneratorRecord)]
+    word = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.25:
+            word.append(projection(rng.choice(pool)))
+        else:
+            g = rng.choice(gens)
+            word.append(g if rng.random() < 0.5 else adjoint(g))
+    word.insert(rng.randint(0, len(word)), projection(pivot))
+    # One word in ten breaks a precondition.
+    broken = rng.randrange(50)
+    if broken == 0:
+        word = []
+    elif broken == 1:
+        word.insert(rng.randint(0, len(word)), ZERO)
+    elif broken == 2:
+        word.insert(rng.randint(0, len(word)), V((7, 7, 7), (7, 7, 8)))
+    elif broken == 3:
+        word = [m for m in word if m != projection(pivot)] or [projection((pivot[0] + 1,))]
+    elif broken == 4:
+        pivot = (pivot[0] + 1,)
+    return pivot, word
+
+
+# Every trace case, both dead ends, the default zero reason and each
+# precondition must occur, or the comparison misses a branch.
+WALK_OUTCOMES = (
+    "misses the carrier cylinder",
+    "was issued before the protection",
+    "the factors multiply to the zero operator",
+    "the word must be non-empty",
+    "the zero operator is not a word factor",
+    "is not a registered generator",
+    "the word must contain the pivot projection",
+    "is not the vanishing tuple",
+)
+
+
+def test_walk_matches_two_pass_reference():
+    rng = random.Random(909)
+    seen = Counter()
+    for _ in range(300):
+        reg, prot, pivot, pool = _random_sound_registry(rng)
+        for _ in range(60):
+            word_pivot, word = _random_word(rng, reg, pivot, pool)
+            got = _outcome(vanishing_witness, reg, prot, word_pivot, word)
+            assert got == _outcome(reference_vanishing_witness, reg, prot, word_pivot, word)
+            if isinstance(got, tuple):
+                assert got[0] is WitnessError, got
+                text = got[1]
+            else:
+                seen.update(step.case for step in got.steps)
+                text = getattr(got, "reason", "")
+            seen.update(f for f in WALK_OUTCOMES if f in text)
+    cases = (CASE_BASE, CASE_LEFT_ANCHOR, CASE_PROJECTION, CASE_PREFIX_REWRITE)
+    for key in cases + (CASE_EARLY_ORTHOGONAL, CASE_LATE_DOMINATES) + WALK_OUTCOMES:
+        assert seen[key], (key, seen)
+
+
+def test_zero_word_on_an_unsound_registry_checks_its_carriers():
+    reg, _, prot, pivot = build_scene()
+    late = reg.link(pivot, (6,))
+    # Edit the protection so that it shields the late generator's range,
+    # which no sound registry allows.
+    unsound = ProtectionRecord(
+        stage=prot.stage, tuples=prot.tuples + (late.ran,), horizon=prot.horizon, state=prot.state
+    )
+    reg.records[prot.stage] = unsound
+    word = [projection((7,)), late.monomial(), projection(pivot)]
+    assert normal_form(word) is ZERO
+    # The two-pass pipeline never checked the carriers of a zero word.
+    assert isinstance(reference_vanishing_witness(reg, unsound, pivot, word), ZeroReport)
+    with pytest.raises(SoundnessError, match=r"collides with protected tuple \(6,"):
+        vanishing_witness(reg, unsound, pivot, word)
