@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from .cylinders import format_tuple, parse_seqdesc_text, parse_tuple_text
+from .cylinders import format_tuple, parse_natural, parse_seqdesc_text, parse_tuple_text
 from .expr import eval_expr, poly_text
 from .parser import ParseError, parse_expr, parse_word
 from .polynomials import Polynomial, parse_state_text
 from .registry import Registry, RegistryError
-from .selftest import run_selftest
 from .session import Session
 from .witnesses import (
     IdealWitness,
@@ -38,6 +37,32 @@ OK, FAIL, USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
+
+
+def _natural(text: str) -> int:
+    """A natural-number argument, in ASCII digits as in every file format."""
+    return _int_argument(text, parse_natural)
+
+
+def _stage(text: str) -> int:
+    """A protection stage argument: a natural number, or one with a leading
+    `-`, which names no protection."""
+    return _int_argument(
+        text, lambda t: -parse_natural(t[1:]) if t.startswith("-") else parse_natural(t)
+    )
+
+
+def _int_argument(text: str, parse: Callable[[str], int]) -> int:
+    """`parse(text)` for argparse. Text that `int` refuses keeps argparse's
+    own message; what `parse` refuses beyond that gets parse's message."""
+    try:
+        int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -66,16 +91,16 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register-state", help="protect the support of a diagonal state")
     p.add_argument("state", help="like 1/2@(1,2)/0;1/2@(3)/7")
-    p.add_argument("horizon", type=int)
+    p.add_argument("horizon", type=_natural)
 
     p = sub.add_parser("vanishing-tuple", help="the 1-tuple a protection forces states to avoid")
-    p.add_argument("prot_id", type=int)
+    p.add_argument("prot_id", type=_stage)
 
     p = sub.add_parser(
         "lemma2",
         help="trace the vanishing induction for a word containing the pivot projection",
     )
-    p.add_argument("prot_id", type=int)
+    p.add_argument("prot_id", type=_stage)
     p.add_argument("word", help="product of P(...) and V(...;...) factors")
     p.add_argument("--name", help="bind the resulting trace in the session")
     p.add_argument("--out", metavar="FILE", help="also write the trace to a file")
@@ -97,8 +122,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub.add_parser("audit", help="re-check every registry record against the earlier log")
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--seed", type=_natural, default=0)
+    p.add_argument("--cases", type=_natural, default=200)
 
     p = sub.add_parser("let", help="bind a polynomial in the session")
     p.add_argument("name")
@@ -236,6 +261,8 @@ def _run(args, out) -> int:
         return FAIL if problems else OK
 
     if args.command == "selftest":
+        from .selftest import run_selftest
+
         failures = 0
         for result in run_selftest(args.seed, args.cases):
             tag = "PASS" if result.ok else "FAIL"

@@ -8,11 +8,59 @@ equality is decidable. Coordinates are 1-indexed throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 Label = int
 Tup = tuple[int, ...]
+
+
+class Value:
+    """Base of the plain value classes.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    sets them in its own `__init__`. Two values are equal when they are of
+    the same class and their fields are equal, and a value prints as
+    `Name(field=value, ...)`. A class that defines `__eq__` is unhashable,
+    as a mutable value should be; `Frozen` values hash and stay as built.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Value):
+    """An immutable value: `__init__` sets the fields through
+    `object.__setattr__`, and assignment after that raises AttributeError.
+    Equal values hash alike."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle cannot assign the fields; they call the constructor.
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 class Compat(Enum):
@@ -45,8 +93,7 @@ def compatibility(a: Tup, b: Tup) -> Compat:
     return Compat.DISJOINT
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceDesc:
+class SequenceDesc(Frozen):
     """A finitely described sequence: an explicit prefix, then a constant tail.
 
     coordinate(i) is defined for every i >= 1. The stored prefix is kept
@@ -54,16 +101,22 @@ class SequenceDesc:
     coincides with equality of the described sequences.
     """
 
-    prefix: Tup
-    tail: Label
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self) -> None:
-        p = self.prefix
-        k = len(p)
-        while k > 0 and p[k - 1] == self.tail:
+    def __init__(self, prefix: Tup, tail: Label) -> None:
+        k = len(prefix)
+        while k > 0 and prefix[k - 1] == tail:
             k -= 1
-        if k != len(p):
-            object.__setattr__(self, "prefix", p[:k])
+        object.__setattr__(self, "prefix", prefix if k == len(prefix) else prefix[:k])
+        object.__setattr__(self, "tail", tail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.prefix, self.tail) == (other.prefix, other.tail)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
 
     def coord(self, i: int) -> Label:
         """1-indexed coordinate access."""

@@ -8,46 +8,57 @@ that round trip for independent re-verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cylinders import Tup, format_tuple
+from .cylinders import Frozen, Tup, format_tuple
 from .monomials import V, Monomial, adjoint as monomial_adjoint
 from .polynomials import ONE, Polynomial, Scalar
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarLit:
-    value: Scalar
+class ScalarLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Scalar) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Proj:
-    tup: Tup
+class Proj(Frozen):
+    __slots__ = ("tup",)
+
+    def __init__(self, tup: Tup) -> None:
+        object.__setattr__(self, "tup", tup)
 
 
-@dataclass(frozen=True, slots=True)
-class Iso:
-    dom: Tup
-    ran: Tup
+class Iso(Frozen):
+    __slots__ = ("dom", "ran")
+
+    def __init__(self, dom: Tup, ran: Tup) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "ran", ran)
 
 
-@dataclass(frozen=True, slots=True)
-class Adj:
-    inner: "Expr"
+class Adj(Frozen):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Expr") -> None:
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    factors: tuple["Expr", ...]
+class Product(Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple["Expr", ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
+class Sum(Frozen):
     """Signed sum; each term carries +1 or -1."""
 
-    terms: tuple[tuple[int, "Expr"], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, "Expr"], ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
 
 Expr = Union[ScalarLit, Proj, Iso, Adj, Product, Sum]

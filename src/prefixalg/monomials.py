@@ -14,12 +14,12 @@ are checked against each other throughout the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Union
 
 from .cylinders import (
     Compat,
+    Frozen,
     SequenceDesc,
     Tup,
     compatibility,
@@ -45,19 +45,27 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True, slots=True)
-class V:
+class V(Frozen):
     """Partial isometry with domain cylinder dom and range cylinder ran."""
 
-    dom: Tup
-    ran: Tup
+    __slots__ = ("dom", "ran")
 
-    def __post_init__(self) -> None:
-        if len(self.dom) != len(self.ran):
+    def __init__(self, dom: Tup, ran: Tup) -> None:
+        if len(dom) != len(ran):
             raise ValueError(
                 f"domain and range tuples must have equal length: "
-                f"{format_tuple(self.dom)} vs {format_tuple(self.ran)}"
+                f"{format_tuple(dom)} vs {format_tuple(ran)}"
             )
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "ran", ran)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.ran) == (other.dom, other.ran)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.ran))
 
     def __repr__(self) -> str:
         return format_monomial(self)

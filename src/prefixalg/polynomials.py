@@ -8,29 +8,42 @@ is an algebraic identity, so there are no tolerances anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .cylinders import SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
+from .cylinders import Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
 from .monomials import V, ZERO, Monomial, act, adjoint, format_monomial, multiply
 
 RationalLike = Union[int, Fraction]
 
+_ZERO_Q = Fraction(0)
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+
+class Scalar(Frozen):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = _ZERO_Q) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        # Arithmetic results arrive as Fractions already; convert the rest.
+        # Looked up on the instance, so a wrapper set on the class sees every
+        # direct construction. Parts given as ints become Fractions.
         if type(self.re) is not Fraction:
             object.__setattr__(self, "re", Fraction(self.re))
         if type(self.im) is not Fraction:
             object.__setattr__(self, "im", Fraction(self.im))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(value: "ScalarLike") -> "Scalar":
@@ -39,7 +52,7 @@ class Scalar:
         return Scalar(Fraction(value))
 
     # Arithmetic builds its results with `_scalar`: the parts are Fractions
-    # already, so the conversion in __post_init__ has nothing to do.
+    # already, so neither `__init__` nor `__post_init__` needs to run.
 
     def __add__(self, other: "ScalarLike") -> "Scalar":
         o = other if other.__class__ is Scalar else Scalar.of(other)
@@ -109,14 +122,15 @@ class Scalar:
 
 ScalarLike = Union[Scalar, int, Fraction]
 
-_ZERO_Q = Fraction(0)
+# The slot descriptors write a field past the class's refusing __setattr__.
 _new_object = object.__new__
 _set_re = Scalar.__dict__["re"].__set__
 _set_im = Scalar.__dict__["im"].__set__
 
 
 def _scalar(re: Fraction, im: Fraction) -> Scalar:
-    """The Scalar re + im*i from two Fractions, built without __post_init__."""
+    """The Scalar re + im*i from two Fractions: a bare instance whose two
+    slots are set directly, without `__init__` or `__post_init__`."""
     s = _new_object(Scalar)
     _set_re(s, re)
     _set_im(s, im)
@@ -374,17 +388,19 @@ def _by_first_label(rules: Iterable[tuple]) -> tuple[dict[int, list[tuple]], lis
     return by_first, everywhere
 
 
-@dataclass(frozen=True, slots=True)
-class FragmentIndex:
+class FragmentIndex(Frozen):
     """A closed family of level-length tuples plus the padding label used.
 
     The padding label is fresh for the polynomials the index was built from,
     so padded tuples name distinct cylinders.
     """
 
-    tuples: tuple[Tup, ...]
-    level: int
-    pad: int
+    __slots__ = ("tuples", "level", "pad")
+
+    def __init__(self, tuples: tuple[Tup, ...], level: int, pad: int) -> None:
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "pad", pad)
 
 
 def fragment_index(polys: Iterable[Polynomial], level: int) -> FragmentIndex:
@@ -424,16 +440,18 @@ def fragment_index(polys: Iterable[Polynomial], level: int) -> FragmentIndex:
     return FragmentIndex(tuples=tuple(sorted(closed)), level=level, pad=pad)
 
 
-@dataclass(frozen=True, slots=True)
-class FragmentMatrix:
+class FragmentMatrix(Frozen):
     """Exact matrix of a polynomial on a finite family of padded cylinders.
 
     rows[i][j] is the coefficient of the i-th index point in the image of
     the j-th index point (output row, input column).
     """
 
-    index: FragmentIndex
-    rows: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("index", "rows")
+
+    def __init__(self, index: FragmentIndex, rows: tuple[tuple[Scalar, ...], ...]) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rows", rows)
 
     def size(self) -> int:
         return len(self.index.tuples)

@@ -16,17 +16,15 @@ log as written, record by record, without replaying it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .cylinders import Tup, format_tuple, parse_natural, parse_tuple_text, properly_extends
+from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text, properly_extends
 from .monomials import V, normal_form
 from .polynomials import DiagonalState, format_state, parse_state_text
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorRecord:
+class GeneratorRecord(Frozen):
     """An issued linking isometry V(dom, ran) and how it was requested.
 
     dom and ran extend the requested pair to length n, all added coordinates
@@ -34,12 +32,17 @@ class GeneratorRecord:
     is taken as written; `check` and the audit judge it.
     """
 
-    stage: int
-    n: int
-    dom: Tup
-    ran: Tup
-    requested: tuple[Tup, Tup]
-    fresh: int
+    __slots__ = ("stage", "n", "dom", "ran", "requested", "fresh")
+
+    def __init__(
+        self, stage: int, n: int, dom: Tup, ran: Tup, requested: tuple[Tup, Tup], fresh: int
+    ) -> None:
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "ran", ran)
+        object.__setattr__(self, "requested", requested)
+        object.__setattr__(self, "fresh", fresh)
 
     def check(self) -> None:
         """Raise ValueError unless the fields agree with each other."""
@@ -63,18 +66,23 @@ class GeneratorRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ProtectionRecord:
+class ProtectionRecord(Frozen):
     """A registered finite family of tuples future generators must avoid.
 
     Usually the support of a diagonal state truncated at some horizon; the
     horizon is recorded so later checks can detect under-protection.
     """
 
-    stage: int
-    tuples: tuple[Tup, ...]
-    horizon: int
-    state: Optional[DiagonalState] = None
+    __slots__ = ("stage", "tuples", "horizon", "state")
+
+    def __init__(
+        self, stage: int, tuples: tuple[Tup, ...], horizon: int,
+        state: Optional[DiagonalState] = None,
+    ) -> None:
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "state", state)
 
     def to_line(self) -> str:
         tuples = "|".join(format_tuple(t) for t in self.tuples)

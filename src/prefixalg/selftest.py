@@ -7,11 +7,10 @@ seed yields byte-identical output; failures carry enough detail to replay.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cylinders import SequenceDesc, Tup
+from .cylinders import SequenceDesc, Tup, Value
 from .monomials import (
     V,
     ZERO,
@@ -187,11 +186,13 @@ def check_registry(rng: random.Random, cases: int) -> tuple[bool, str]:
     return True, f"{cases} requests"
 
 
-@dataclass(slots=True)
-class SuiteResult:
-    name: str
-    ok: bool
-    detail: str
+class SuiteResult(Value):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 SUITES: list[tuple[str, Callable[[random.Random, int], tuple[bool, str]]]] = [

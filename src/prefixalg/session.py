@@ -8,16 +8,17 @@ same command transcript twice, therefore produces identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
+from .cylinders import Value
 from .expr import eval_expr, poly_text
 from .polynomials import Polynomial
 from .registry import Registry, RegistryError
 from .witnesses import (
     IdealWitness,
     VanishingTrace,
+    check_reads_back,
     parse_trace_lines,
     parse_witness_block,
 )
@@ -27,10 +28,14 @@ HEADER = "prefixalg session v1"
 Binding = Union[Polynomial, IdealWitness, VanishingTrace]
 
 
-@dataclass(slots=True)
-class Session:
-    registry: Registry = field(default_factory=Registry)
-    bindings: dict[str, Binding] = field(default_factory=dict)
+class Session(Value):
+    __slots__ = ("registry", "bindings")
+
+    def __init__(
+        self, registry: Optional[Registry] = None, bindings: Optional[dict[str, Binding]] = None
+    ) -> None:
+        self.registry = Registry() if registry is None else registry
+        self.bindings = {} if bindings is None else bindings
 
     def bind(self, name: str, value: Binding) -> None:
         if not name.isidentifier():
@@ -100,13 +105,17 @@ class Session:
 
 def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding:
     """The binding held by lines[start:end] of a file's lines; errors name
-    the file line."""
+    the file line. A witness or trace must be exactly what it prints, so
+    that a save never rewrites it."""
     from .parser import parse_expr
 
     if kind == "polynomial":
         return eval_expr(parse_expr("\n".join(lines[start:end])))
     if kind == "witness":
-        return parse_witness_block(lines, start)[0]
-    if kind == "trace":
-        return parse_trace_lines(lines[start:end], start + 1)
-    raise RegistryError(f"unknown binding kind {kind!r}")
+        value: Binding = parse_witness_block(lines, start)[0]
+    elif kind == "trace":
+        value = parse_trace_lines(lines[start:end], start + 1)
+    else:
+        raise RegistryError(f"unknown binding kind {kind!r}")
+    check_reads_back(lines[start:end], value.to_lines(), start + 1)
+    return value

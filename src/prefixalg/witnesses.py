@@ -20,14 +20,15 @@ nothing trusts the code that constructed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Union
 
 from .cylinders import (
+    Frozen,
     SequenceDesc,
     Tup,
+    Value,
     extends,
     format_tuple,
     parse_natural,
@@ -86,8 +87,7 @@ class SoundnessError(Exception):
 # ideal membership witnesses
 
 
-@dataclass(slots=True)
-class IdealWitness:
+class IdealWitness(Value):
     """P(alpha) * source * P(alpha) collapses to scalar * P(alpha), scalar != 0.
 
     `source` is the positive element root'*root, so P(alpha) lies in any
@@ -95,11 +95,16 @@ class IdealWitness:
     tree whose evaluation must equal P(alpha) exactly.
     """
 
-    source: Polynomial
-    alpha: Tup
-    scalar: Scalar
-    certificate: Expr
-    root: Polynomial
+    __slots__ = ("source", "alpha", "scalar", "certificate", "root")
+
+    def __init__(
+        self, source: Polynomial, alpha: Tup, scalar: Scalar, certificate: Expr, root: Polynomial
+    ) -> None:
+        self.source = source
+        self.alpha = alpha
+        self.scalar = scalar
+        self.certificate = certificate
+        self.root = root
 
     def to_lines(self) -> list[str]:
         return [
@@ -161,8 +166,7 @@ def ideal_projection_witness(
     )
 
 
-@dataclass(slots=True)
-class PrimenessCertificate:
+class PrimenessCertificate(Value):
     """One product expression that lands in two ideals at once.
 
     The left half pushes witness1's projection through the linking isometry,
@@ -170,10 +174,16 @@ class PrimenessCertificate:
     exactly the projection of the generator's range tuple.
     """
 
-    witness1: IdealWitness
-    witness2: IdealWitness
-    generator: GeneratorRecord
-    product_expr: Expr
+    __slots__ = ("witness1", "witness2", "generator", "product_expr")
+
+    def __init__(
+        self, witness1: IdealWitness, witness2: IdealWitness, generator: GeneratorRecord,
+        product_expr: Expr,
+    ) -> None:
+        self.witness1 = witness1
+        self.witness2 = witness2
+        self.generator = generator
+        self.product_expr = product_expr
 
     def claim(self) -> Polynomial:
         return Polynomial.projection(self.generator.ran)
@@ -231,15 +241,20 @@ CASE_EARLY_ORTHOGONAL = "early-orthogonal"
 CASE_LATE_DOMINATES = "late-dominates"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One induction step: the carrier after handling the factor at pos."""
 
-    position: int
-    case: str
-    carrier: Tup
-    stage: Optional[int] = None
-    adjoint: bool = False
+    __slots__ = ("position", "case", "carrier", "stage", "adjoint")
+
+    def __init__(
+        self, position: int, case: str, carrier: Tup, stage: Optional[int] = None,
+        adjoint: bool = False,
+    ) -> None:
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "adjoint", adjoint)
 
     def to_line(self) -> str:
         stage = "-" if self.stage is None else str(self.stage)
@@ -249,8 +264,7 @@ class TraceStep:
         )
 
 
-@dataclass(slots=True)
-class VanishingTrace:
+class VanishingTrace(Value):
     """A verified carrier (b, n) for a nonzero word containing the pivot.
 
     The final carrier satisfies: its projection absorbs the word from the
@@ -258,11 +272,17 @@ class VanishingTrace:
     coordinate; no protected tuple does either.
     """
 
-    word: tuple[Monomial, ...]
-    pivot: Tup
-    prot_stage: int
-    steps: tuple[TraceStep, ...]
-    carrier: Tup
+    __slots__ = ("word", "pivot", "prot_stage", "steps", "carrier")
+
+    def __init__(
+        self, word: tuple[Monomial, ...], pivot: Tup, prot_stage: int,
+        steps: tuple[TraceStep, ...], carrier: Tup,
+    ) -> None:
+        self.word = word
+        self.pivot = pivot
+        self.prot_stage = prot_stage
+        self.steps = steps
+        self.carrier = carrier
 
     @property
     def depth(self) -> int:
@@ -282,15 +302,20 @@ class VanishingTrace:
         return "\n".join(["prefixalg trace v1"] + self.to_lines()) + "\n"
 
 
-@dataclass(slots=True)
-class ZeroReport:
+class ZeroReport(Value):
     """The word collapses to the zero operator; nothing to witness."""
 
-    word: tuple[Monomial, ...]
-    pivot: Tup
-    prot_stage: int
-    steps: tuple[TraceStep, ...]
-    reason: str
+    __slots__ = ("word", "pivot", "prot_stage", "steps", "reason")
+
+    def __init__(
+        self, word: tuple[Monomial, ...], pivot: Tup, prot_stage: int,
+        steps: tuple[TraceStep, ...], reason: str,
+    ) -> None:
+        self.word = word
+        self.pivot = pivot
+        self.prot_stage = prot_stage
+        self.steps = steps
+        self.reason = reason
 
 
 def _classify_word(
@@ -468,10 +493,12 @@ def check_state_vanishes(
 # serialization and independent re-verification
 
 
-@dataclass(slots=True)
-class VerifyReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
+class VerifyReport(Value):
+    __slots__ = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: Optional[list[str]] = None) -> None:
+        self.ok = ok
+        self.problems = [] if problems is None else problems
 
     def __bool__(self) -> bool:
         return self.ok
@@ -521,6 +548,15 @@ def parse_witness_block(lines: list[str], start: int) -> tuple[IdealWitness, int
         root=_parse_poly(fields["root"]),
     )
     return witness, i + 1
+
+
+def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1) -> None:
+    """Raise ValueError at the first of `lines` that differs from what the
+    value parsed from them prints, naming it as `first_line` onwards."""
+    for lineno, (line, want) in enumerate(zip_longest(lines, canonical), start=first_line):
+        if line != want:
+            what = "no line" if want is None else repr(want)
+            raise ValueError(f"line {lineno} does not read back exactly (expected {what})")
 
 
 def parse_certificate_text(text: str) -> PrimenessCertificate:
@@ -681,11 +717,7 @@ def verify_trace_text(text: str, reg: Registry) -> VerifyReport:
     then verify the trace."""
     try:
         trace = parse_trace_text(text)
-        lines = zip_longest(text.splitlines(), trace.to_text().splitlines())
-        for lineno, (line, canonical) in enumerate(lines, start=1):
-            if line != canonical:
-                want = "no line" if canonical is None else repr(canonical)
-                raise ValueError(f"line {lineno} does not read back exactly (expected {want})")
+        check_reads_back(text.splitlines(), trace.to_text().splitlines())
     except ValueError as exc:
         return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
     return verify_trace(trace, reg)

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from prefixalg.cli import main
 from prefixalg.monomials import V, projection
@@ -309,6 +313,27 @@ def test_vanishing_tuple_negative_stage_is_usage_error(tmp_path, capsys):
     assert err == "error: no protection record at stage -1\n"
 
 
+def test_integer_arguments_take_ascii_digits_only(tmp_path, capsys):
+    session = str(tmp_path / "s.txt")
+    cases = [
+        (("register-state", "1@(5)/0", "٤"), "horizon", "٤"),
+        (("register-state", "1@(5)/0", "+4"), "horizon", "+4"),
+        (("register-state", "1@(5)/0", "4_0"), "horizon", "4_0"),
+        (("vanishing-tuple", "٤"), "prot_id", "٤"),
+        (("lemma2", "+0", "P((0))"), "prot_id", "+0"),
+        (("selftest", "--seed", "٣"), "--seed", "٣"),
+        (("selftest", "--cases", "1_0"), "--cases", "1_0"),
+    ]
+    for args, name, text in cases:
+        capsys.readouterr()
+        assert run("--session", session, *args) == (2, "")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"prefixalg {args[0]}: error: argument {name}: malformed natural number {text!r}"
+        ]
+    assert not (tmp_path / "s.txt").exists()
+
+
 def session_error(tmp_path, capsys, text):
     """stdout, stderr and exit code of `audit` on a session file."""
     session = tmp_path / "s.txt"
@@ -359,6 +384,32 @@ def test_session_trace_binding_error_names_file_line(tmp_path, capsys):
     assert session_error(tmp_path, capsys, text) == (
         2, "", f"error: line {step + 1}: malformed field 'xbase'\n"
     )
+
+
+def test_session_bindings_must_read_back_exactly(tmp_path, capsys):
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "register-state", "1@(5)/0", "4")
+    run("--session", str(session), "link", "(0)", "(6)")
+    run("--session", str(session), "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--bind", "c")
+    pivot = run("--session", str(session), "vanishing-tuple", "0")[1].strip()
+    assert run("--session", str(session), "lemma2", "0", f"V((0,1);(6,1)) P({pivot})",
+               "--name", "t")[0] == 0
+    lines = session.read_text().splitlines()
+    assert session_error(tmp_path, capsys, session.read_text()) == (0, "ok\n", "")
+    end = lines.index("end witness")
+    late = next(i for i, line in enumerate(lines) if "case=late-dominates" in line)
+    adjoint = list(lines)
+    adjoint[late] = adjoint[late].replace("adjoint=0", "adjoint=7")
+    cases = [
+        (lines[:end + 1] + ["junk after the block"] + lines[end + 1:], end + 1, "no line"),
+        (adjoint, late, repr(lines[late])),
+    ]
+    for edited, index, want in cases:
+        problem = f"line {index + 1} does not read back exactly (expected {want})"
+        assert session_error(tmp_path, capsys, "\n".join(edited) + "\n") == (
+            2, "", f"error: {problem}\n"
+        )
 
 
 def test_session_replay_error_names_file_line(tmp_path, capsys):
@@ -548,3 +599,18 @@ def test_oversize_label_names_the_label(capsys):
         capsys.readouterr()
         assert run(*args) == (2, "")
         assert capsys.readouterr().err == f"error: label too long (5000 digits) in {where}\n"
+
+
+def test_import_loads_no_dataclasses_or_selftest():
+    """A cold process that imports the CLI loads neither `dataclasses` nor
+    what it pulls in, nor the selftest suites."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, prefixalg.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "prefixalg.cli" in loaded
+    for name in ("dataclasses", "inspect", "ast", "dis", "prefixalg.selftest"):
+        assert name not in loaded

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +15,12 @@ from prefixalg.registry import (
     audit_records,
 )
 from prefixalg.witnesses import ideal_projection_witness, primeness_witness, verify_certificate
+
+
+def replace(rec, **changes):
+    """A copy of a record with some fields changed."""
+    fields = {name: getattr(rec, name) for name in type(rec).__slots__}
+    return type(rec)(**{**fields, **changes})
 
 
 def one_point_state(prefix, tail=0):
@@ -188,7 +193,7 @@ def test_audit_records_names_every_problem():
     records[2] = GeneratorRecord(
         stage=2, n=2, dom=(2, 0), ran=(3, 0), requested=((2,), (3,)), fresh=0
     )
-    records[5] = dataclasses.replace(records[5], stage=9)
+    records[5] = replace(records[5], stage=9)
     assert audit_records(records) == [
         "stage 2: dom reuses generator label 0 at coordinate 2",
         "stage 9 out of order",
@@ -426,8 +431,8 @@ def malformed_generator(rng, stage):
     tuples that do not extend the request."""
     rec = hand_generator(rng, stage)
     if rng.random() < 0.5:
-        return dataclasses.replace(rec, n=rec.n + 1)
-    return dataclasses.replace(rec, requested=(rec.dom, rec.ran))
+        return replace(rec, n=rec.n + 1)
+    return replace(rec, requested=(rec.dom, rec.ran))
 
 
 def test_audit_records_matches_fresh_replay():
@@ -460,7 +465,7 @@ def test_audit_records_matches_fresh_replay():
                     records[pos] = malformed_generator(rng, pos)
                 elif edit == 2:
                     stage = pos + rng.choice((-2, -1, 1, 3))
-                    records[pos] = dataclasses.replace(records[pos], stage=stage)
+                    records[pos] = replace(records[pos], stage=stage)
                 else:
                     other = rng.randrange(len(records))
                     records[pos], records[other] = records[other], records[pos]
