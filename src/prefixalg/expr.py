@@ -8,7 +8,6 @@ that round trip for independent re-verification.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
 from .cylinders import Frozen, Tup, format_tuple
@@ -150,22 +149,20 @@ def from_polynomial(p: Polynomial) -> Expr:
     ride along as parenthesized literals.
     """
     if not p:
-        return ScalarLit(Scalar(Fraction(0)))
+        return ScalarLit(Scalar(0))
     terms: list[tuple[int, Expr]] = []
     for m, c in p.sorted_terms():
         node = monomial_node(m)
-        if c.im == 0:
-            sign = 1 if c.re > 0 else -1
-            mag = abs(c.re)
-            if mag == 1:
-                terms.append((sign, node))
-            else:
-                terms.append((sign, Product((ScalarLit(Scalar(mag)), node))))
-        elif c.re == 0:
-            sign = 1 if c.im > 0 else -1
-            terms.append((sign, Product((ScalarLit(Scalar(Fraction(0), abs(c.im))), node))))
-        else:
+        if c.a and c.b:
             terms.append((1, Product((ScalarLit(c), node))))
+            continue
+        # Real or purely imaginary: the sign moves out of the literal.
+        sign = 1 if c.a > 0 or c.b > 0 else -1
+        mag = c if sign > 0 else -c
+        if mag == ONE:
+            terms.append((sign, node))
+        else:
+            terms.append((sign, Product((ScalarLit(mag), node))))
     if len(terms) == 1 and terms[0][0] > 0:
         return terms[0][1]
     return Sum(tuple(terms))

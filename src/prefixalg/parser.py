@@ -21,7 +21,7 @@ re-scanning the text, only for the error that names them.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+
 from .expr import Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, expr_to_word
 from .monomials import Monomial
 from .polynomials import Scalar
@@ -148,7 +148,7 @@ class _Parser:
             return ScalarLit(self.scalar())
         if tok == "i":
             self.next()
-            return ScalarLit(Scalar(Fraction(0), Fraction(1)))
+            return ScalarLit(Scalar.ratio(0, 1, 1))
         if tok == "P":
             self.next()
             self.expect("(")
@@ -194,11 +194,10 @@ class _Parser:
             den = self.integer()
             if den == 0:
                 raise self.error("zero denominator", self.pos - 1)
-        value = Fraction(num, den)
         if self.peek() == "i":
             self.next()
-            return Scalar(Fraction(0), value)
-        return Scalar(value)
+            return Scalar.ratio(0, num, den)
+        return Scalar.ratio(num, 0, den)
 
     # tuple := '(' [int (',' int)*] ')'
     def tuple_literal(self) -> tuple[int, ...]:

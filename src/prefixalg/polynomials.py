@@ -9,6 +9,7 @@ is an algebraic identity, so there are no tolerances anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _gcd
 from typing import Iterable, Optional, Union
 
 from .cylinders import Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
@@ -16,53 +17,87 @@ from .monomials import V, ZERO, Monomial, act, adjoint, format_monomial, multipl
 
 RationalLike = Union[int, Fraction]
 
-_ZERO_Q = Fraction(0)
-
 
 class Scalar(Frozen):
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational parts, held as one integer
+    triple: (a + b*i)/d in lowest terms, d > 0 and gcd(a, b, d) == 1, so
+    zero is (0, 0, 1) and equal scalars have equal triples."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: Fraction, im: Fraction = _ZERO_Q) -> None:
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    def __init__(self, re: RationalLike, im: RationalLike = 0) -> None:
+        if type(re) is not int and type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not int and type(im) is not Fraction:
+            im = Fraction(im)
+        p, q = re.denominator, im.denominator
+        _set_a(self, re.numerator * q)
+        _set_b(self, im.numerator * p)
+        _set_d(self, p * q)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # Looked up on the instance, so a wrapper set on the class sees every
-        # direct construction. Parts given as ints become Fractions.
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+        # direct construction. Brings the triple to lowest terms.
+        g = _gcd(self.a, self.b, self.d)
+        if g != 1:
+            _set_a(self, self.a // g)
+            _set_b(self, self.b // g)
+            _set_d(self, self.d // g)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return (self.re, self.im) == (other.re, other.im)
+            return self.a == other.a and self.b == other.b and self.d == other.d
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
+
+    def __reduce__(self) -> tuple:
+        # The constructor takes the two parts, not the triple.
+        return Scalar, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @staticmethod
     def of(value: "ScalarLike") -> "Scalar":
-        if isinstance(value, Scalar):
+        if value.__class__ is Scalar:
             return value
-        return Scalar(Fraction(value))
+        if type(value) is int:
+            return _raw(value, 0, 1)
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _raw(value.numerator, 0, value.denominator)
 
-    # Arithmetic builds its results with `_scalar`: the parts are Fractions
-    # already, so neither `__init__` nor `__post_init__` needs to run.
+    @staticmethod
+    def ratio(a: int, b: int, d: int) -> "Scalar":
+        """(a + b*i)/d for integers a, b and d > 0, in lowest terms."""
+        return _reduced(a, b, d)
+
+    # Arithmetic builds its results with `_raw` and `_reduced`, which set
+    # the triple directly, without `__init__` or `__post_init__`.
 
     def __add__(self, other: "ScalarLike") -> "Scalar":
         o = other if other.__class__ is Scalar else Scalar.of(other)
-        return _scalar(self.re + o.re, self.im + o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ScalarLike") -> "Scalar":
         o = other if other.__class__ is Scalar else Scalar.of(other)
-        return _scalar(self.re - o.re, self.im - o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other: "ScalarLike") -> "Scalar":
         return Scalar.of(other) - self
@@ -73,48 +108,47 @@ class Scalar(Frozen):
             return o
         if o is ONE:
             return self
-        if not self.im and not o.im:
-            return _scalar(self.re * o.re, _ZERO_Q)
-        return _scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        if not b and not e:
+            return _reduced(a * c, 0, self.d * o.d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        # ((a + bi)/d) / ((c + ei)/f) = f(a + bi)(c - ei) / (d(c*c + e*e))
+        o = other if other.__class__ is Scalar else Scalar.of(other)
+        a, b, c, e, f = self.a, self.b, o.a, o.b, o.d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return self * _scalar(o.re / d, -o.im / d)
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self.d * n)
 
     def __neg__(self) -> "Scalar":
-        return _scalar(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "Scalar":
-        return _scalar(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def to_text(self) -> str:
-        """Canonical text: `0`, `3/2`, `-2`, `i`, `-3/4i`, `1/2+3/4i`, ..."""
-        if not self:
-            return "0"
-        parts = []
-        if self.re != 0:
-            parts.append(str(self.re))
-        if self.im != 0:
-            mag = abs(self.im)
-            body = "i" if mag == 1 else f"{mag}i"
-            if self.im < 0:
-                parts.append(f"-{body}")
-            elif parts:
-                parts.append(f"+{body}")
-            else:
-                parts.append(body)
-        return "".join(parts)
+        """Canonical text: `0`, `3/2`, `-2`, `i`, `-3/4i`, `1/2+3/4i`, ...,
+        each part printed as `str(Fraction)` prints it."""
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_text(a, d)
+        mag = _ratio_text(abs(b), d)
+        body = "i" if mag == "1" else mag + "i"
+        if b < 0:
+            body = "-" + body
+        elif a:
+            body = "+" + body
+        return _ratio_text(a, d) + body if a else body
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_text()})"
@@ -124,21 +158,46 @@ ScalarLike = Union[Scalar, int, Fraction]
 
 # The slot descriptors write a field past the class's refusing __setattr__.
 _new_object = object.__new__
-_set_re = Scalar.__dict__["re"].__set__
-_set_im = Scalar.__dict__["im"].__set__
+_set_a = Scalar.__dict__["a"].__set__
+_set_b = Scalar.__dict__["b"].__set__
+_set_d = Scalar.__dict__["d"].__set__
 
 
-def _scalar(re: Fraction, im: Fraction) -> Scalar:
-    """The Scalar re + im*i from two Fractions: a bare instance whose two
-    slots are set directly, without `__init__` or `__post_init__`."""
+def _raw(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d from a triple already in lowest terms: a bare
+    instance whose slots are set directly."""
     s = _new_object(Scalar)
-    _set_re(s, re)
-    _set_im(s, im)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
     return s
 
 
-ONE = Scalar(Fraction(1))
-_ZERO_SCALAR = Scalar(Fraction(0))
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d for any d > 0, brought to lowest terms by one
+    gcd of the three integers."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """`str(Fraction(n, d))` for d > 0, without building the Fraction."""
+    if d != 1:
+        g = _gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
+
+
+ONE = _raw(1, 0, 1)
+_ZERO_SCALAR = _raw(0, 0, 1)
 
 
 class Polynomial:
@@ -291,7 +350,7 @@ class Polynomial:
         Only diagonal monomials P(a) with x in their cylinder contribute; a
         genuine rewrite moves the basis vector off itself.
         """
-        total = Scalar(Fraction(0))
+        total = _ZERO_SCALAR
         for m, c in self.terms.items():
             if m.dom == m.ran and member(x, m.dom):
                 total = total + c
@@ -308,7 +367,7 @@ class Polynomial:
                 f"cylinder tuple {format_tuple(t)} is shorter than the longest "
                 f"tuple in the polynomial ({self.max_tuple_len()})"
             )
-        total = Scalar(Fraction(0))
+        total = _ZERO_SCALAR
         for m, c in self.terms.items():
             if m.dom == m.ran and extends(t, m.dom):
                 total = total + c
@@ -325,7 +384,7 @@ class Polynomial:
         Computed pointwise through `act`, independently of the product rule,
         which makes it the oracle of choice for algebra identities.
         """
-        total = Scalar(Fraction(0))
+        total = _ZERO_SCALAR
         for m, c in self.terms.items():
             if act(m, y) == z:
                 total = total + c
@@ -499,7 +558,7 @@ def _hermitian(nonzeros: list[dict[int, Scalar]]) -> bool:
             mirror = nonzeros[j].get(i)
             if mirror is None:
                 return False
-            if j >= i and (c.re != mirror.re or c.im != -mirror.im):
+            if j >= i and (c.a != mirror.a or c.b != -mirror.b or c.d != mirror.d):
                 return False
     return True
 
@@ -534,19 +593,22 @@ def _schur_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
     for k in range(n):
         pivot = work[k]
         d = pivot[k]
-        if d.im != 0 or d.re < 0:
+        if d.b or d.a < 0:
             return False
-        if d.re == 0:
+        if not d.a:
             if any(pivot[k + 1:]):
                 return False
             continue
-        inverse = 1 / d.re
+        # Each row's factor is its pivot-column entry over the real pivot
+        # d.a/d.d: one reduced triple, (r.a*d.d + r.b*d.d*i)/(r.d*d.a).
+        num, den = d.d, d.a
         cols = [j for j in range(k + 1, n) if pivot[j]]
         for i in range(k + 1, n):
             row = work[i]
-            if not row[k]:
+            r = row[k]
+            if not r:
                 continue
-            factor = _scalar(row[k].re * inverse, row[k].im * inverse)
+            factor = _reduced(r.a * num, r.b * num, r.d * den)
             for j in cols:
                 row[j] = row[j] - factor * pivot[j]
     return True
@@ -579,7 +641,7 @@ class DiagonalState:
         self.points = tuple(cleaned)
 
     def evaluate(self, p: Polynomial) -> Scalar:
-        total = Scalar(Fraction(0))
+        total = _ZERO_SCALAR
         for x, w in self.points:
             total = total + p.g_eval(x) * w
         return total

@@ -105,17 +105,20 @@ class Session(Value):
 
 def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding:
     """The binding held by lines[start:end] of a file's lines; errors name
-    the file line. A witness or trace must be exactly what it prints, so
-    that a save never rewrites it."""
+    the file line. A binding must be exactly what it prints, so that a save
+    never rewrites it."""
     from .parser import parse_expr
 
     if kind == "polynomial":
-        return eval_expr(parse_expr("\n".join(lines[start:end])))
-    if kind == "witness":
-        value: Binding = parse_witness_block(lines, start)[0]
+        value: Binding = eval_expr(parse_expr("\n".join(lines[start:end])))
+        canonical = [poly_text(value)]
+    elif kind == "witness":
+        value = parse_witness_block(lines, start)[0]
+        canonical = value.to_lines()
     elif kind == "trace":
         value = parse_trace_lines(lines[start:end], start + 1)
+        canonical = value.to_lines()
     else:
         raise RegistryError(f"unknown binding kind {kind!r}")
-    check_reads_back(lines[start:end], value.to_lines(), start + 1)
+    check_reads_back(lines[start:end], canonical, start + 1)
     return value

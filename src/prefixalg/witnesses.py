@@ -20,7 +20,6 @@ nothing trusts the code that constructed it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Union
 
@@ -152,7 +151,7 @@ def ideal_projection_witness(
     root_expr = from_polynomial(q)
     certificate: Expr = Product(
         (
-            ScalarLit(Scalar(Fraction(1)) / scalar),
+            ScalarLit(Scalar(1) / scalar),
             Proj(alpha),
             Adj(root_expr),
             root_expr,
@@ -204,7 +203,7 @@ def primeness_witness(
     rec = reg.link(w1.alpha, w2.alpha)
     v_node = monomial_node(V(rec.dom, rec.ran))
     half1 = (
-        ScalarLit(Scalar(Fraction(1)) / w1.scalar),
+        ScalarLit(Scalar(1) / w1.scalar),
         v_node,
         Proj(rec.dom),
         Proj(w1.alpha),
@@ -214,7 +213,7 @@ def primeness_witness(
         Adj(v_node),
     )
     half2 = (
-        ScalarLit(Scalar(Fraction(1)) / w2.scalar),
+        ScalarLit(Scalar(1) / w2.scalar),
         Proj(rec.ran),
         Proj(w2.alpha),
         from_polynomial(w2.source),
@@ -477,7 +476,7 @@ def check_state_vanishes(
     else:
         result = trace
     if isinstance(result, ZeroReport):
-        return Scalar(Fraction(0))
+        return Scalar(0)
     problem = _horizon_problem(result, prot)
     if problem:
         raise HorizonError(problem)
@@ -511,7 +510,7 @@ def _parse_poly(text: str) -> Polynomial:
 def _parse_scalar(text: str) -> Scalar:
     p = _parse_poly(text)
     if not p:
-        return Scalar(Fraction(0))
+        return Scalar(0)
     terms = dict(p.terms)
     unit = V((), ())
     if set(terms) != {unit}:

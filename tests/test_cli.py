@@ -412,6 +412,23 @@ def test_session_bindings_must_read_back_exactly(tmp_path, capsys):
         )
 
 
+def test_polynomial_binding_must_read_back_exactly(tmp_path, capsys):
+    session = tmp_path / "s.txt"
+    hand = "P((1)) + P((1))  +  V((2);(3)) - V((2);(3))"
+    text = f"prefixalg session v1\nbinding q polynomial\n{hand}\nend binding\n"
+    problem = "line 3 does not read back exactly (expected '2 * P((1))')"
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: {problem}\n")
+    code, out = run("--session", str(session), "let", "x", "P((4))")
+    assert (code, out, capsys.readouterr().err) == (2, "", f"error: {problem}\n")
+    assert session.read_text() == text
+    canonical = text.replace(hand, "2 * P((1))")
+    assert session_error(tmp_path, capsys, canonical) == (0, "ok\n", "")
+    assert run("--session", str(session), "let", "x", "P((4))") == (0, "bound x\n")
+    assert session.read_text() == canonical.replace(
+        "end binding\n", "end binding\nbinding x polynomial\nP((4))\nend binding\n"
+    )
+
+
 def test_session_replay_error_names_file_line(tmp_path, capsys):
     session = str(tmp_path / "s.txt")
     run("--session", session, "link", "(1)", "(2)")

@@ -475,20 +475,26 @@ def test_psd_rejects_negative_and_indefinite():
 
 
 def dense_psd(rows):
-    """Oracle: Schur-complement elimination of the whole Hermitian matrix."""
+    """Oracle: Schur-complement elimination of the whole Hermitian matrix on
+    (re, im) pairs of Fractions, read once from each entry, so that it shares
+    no arithmetic with `Scalar`."""
     n = len(rows)
-    work = [list(row) for row in rows]
+    work = [[(c.re, c.im) for c in row] for row in rows]
     for k in range(n):
-        d = work[k][k]
-        if d.im != 0 or d.re < 0:
+        dr, di = work[k][k]
+        if di != 0 or dr < 0:
             return False
-        if d.re == 0:
-            if any(work[k][j] for j in range(k + 1, n)):
+        if dr == 0:
+            if any(work[k][j] != (0, 0) for j in range(k + 1, n)):
                 return False
             continue
         for i in range(k + 1, n):
+            ar, ai = work[i][k]
             for j in range(k + 1, n):
-                work[i][j] = work[i][j] - work[i][k] * work[k][j] / d
+                # work[i][j] -= work[i][k] * work[k][j] / d, d = dr real
+                br, bi = work[k][j]
+                xr, xi = work[i][j]
+                work[i][j] = (xr - (ar * br - ai * bi) / dr, xi - (ar * bi + ai * br) / dr)
     return True
 
 
