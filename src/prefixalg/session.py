@@ -113,7 +113,7 @@ def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding
         value: Binding = eval_expr(parse_expr("\n".join(lines[start:end])))
         canonical = [poly_text(value)]
     elif kind == "witness":
-        value = parse_witness_block(lines, start)[0]
+        value = parse_witness_block(lines[start:end], start + 1)
         canonical = value.to_lines()
     elif kind == "trace":
         value = parse_trace_lines(lines[start:end], start + 1)

@@ -14,8 +14,10 @@ produces either a step-by-step trace exhibiting a carrier tuple whose final
 coordinate avoids everything the protection shields (so the registered state
 annihilates the word), or a report that the word collapses to zero outright.
 
-Every certificate and trace re-verifies by plain normal-form evaluation;
-nothing trusts the code that constructed it.
+A certificate verifies by the premises of the ideal argument alone, its
+expressions being derived from its fields and held to read back exactly; a
+trace verifies by re-running the induction. Nothing trusts the code that
+constructed either.
 """
 
 from __future__ import annotations
@@ -90,20 +92,24 @@ class IdealWitness(Value):
     """P(alpha) * source * P(alpha) collapses to scalar * P(alpha), scalar != 0.
 
     `source` is the positive element root'*root, so P(alpha) lies in any
-    closed two-sided ideal containing it; the certificate is an expression
-    tree whose evaluation must equal P(alpha) exactly.
+    closed two-sided ideal containing it; the certificate spells that out as
+    an expression tree built from the other fields.
     """
 
-    __slots__ = ("source", "alpha", "scalar", "certificate", "root")
+    __slots__ = ("source", "alpha", "scalar", "root")
 
-    def __init__(
-        self, source: Polynomial, alpha: Tup, scalar: Scalar, certificate: Expr, root: Polynomial
-    ) -> None:
+    def __init__(self, source: Polynomial, alpha: Tup, scalar: Scalar, root: Polynomial) -> None:
         self.source = source
         self.alpha = alpha
         self.scalar = scalar
-        self.certificate = certificate
         self.root = root
+
+    @property
+    def certificate(self) -> Expr:
+        """1/scalar * P(alpha) * root' * root * P(alpha), which evaluates to
+        P(alpha) whenever the witness verifies."""
+        root, proj = from_polynomial(self.root), Proj(self.alpha)
+        return Product((ScalarLit(Scalar(1) / self.scalar), proj, Adj(root), root, proj))
 
     def to_lines(self) -> list[str]:
         return [
@@ -148,44 +154,40 @@ def ideal_projection_witness(
         raise SoundnessError("compression scalar vanished despite a positive point")
     if source.compress(alpha) != Polynomial.projection(alpha).scale(scalar):
         raise SoundnessError("compression is not the expected multiple of the projection")
-    root_expr = from_polynomial(q)
-    certificate: Expr = Product(
-        (
-            ScalarLit(Scalar(1) / scalar),
-            Proj(alpha),
-            Adj(root_expr),
-            root_expr,
-            Proj(alpha),
-        )
-    )
-    if eval_expr(certificate) != Polynomial.projection(alpha):
-        raise SoundnessError("witness certificate does not evaluate to the projection")
-    return IdealWitness(
-        source=source, alpha=alpha, scalar=scalar, certificate=certificate, root=q
-    )
+    return IdealWitness(source=source, alpha=alpha, scalar=scalar, root=q)
 
 
 class PrimenessCertificate(Value):
-    """One product expression that lands in two ideals at once.
+    """Two ideal witnesses and the generator linking their cylinders.
 
-    The left half pushes witness1's projection through the linking isometry,
-    the right half is witness2's compression; the whole word normalizes to
-    exactly the projection of the generator's range tuple.
+    Together they put the projection of the generator's range tuple in both
+    ideals at once; the product expression spells that out, built from the
+    fields.
     """
 
-    __slots__ = ("witness1", "witness2", "generator", "product_expr")
+    __slots__ = ("witness1", "witness2", "generator")
 
     def __init__(
-        self, witness1: IdealWitness, witness2: IdealWitness, generator: GeneratorRecord,
-        product_expr: Expr,
+        self, witness1: IdealWitness, witness2: IdealWitness, generator: GeneratorRecord
     ) -> None:
         self.witness1 = witness1
         self.witness2 = witness2
         self.generator = generator
-        self.product_expr = product_expr
 
     def claim(self) -> Polynomial:
         return Polynomial.projection(self.generator.ran)
+
+    @property
+    def product_expr(self) -> Expr:
+        """The left half pushes witness1's projection through the linking
+        isometry, the right half is witness2's compression; the whole word
+        normalizes to the claim whenever the certificate verifies."""
+        w1, w2, rec = self.witness1, self.witness2, self.generator
+        v, dom, ran = monomial_node(rec.monomial()), Proj(rec.dom), Proj(rec.ran)
+        a1, a2 = Proj(w1.alpha), Proj(w2.alpha)
+        s1, s2 = ScalarLit(Scalar(1) / w1.scalar), ScalarLit(Scalar(1) / w2.scalar)
+        src1, src2 = from_polynomial(w1.source), from_polynomial(w2.source)
+        return Product((s1, v, dom, a1, src1, a1, dom, Adj(v), s2, ran, a2, src2, a2, ran))
 
     def to_text(self) -> str:
         lines = ["prefixalg certificate v1", self.generator.to_line()]
@@ -199,34 +201,9 @@ class PrimenessCertificate(Value):
 def primeness_witness(
     reg: Registry, w1: IdealWitness, w2: IdealWitness
 ) -> PrimenessCertificate:
-    """Link the two witness cylinders and assemble the joint certificate."""
-    rec = reg.link(w1.alpha, w2.alpha)
-    v_node = monomial_node(V(rec.dom, rec.ran))
-    half1 = (
-        ScalarLit(Scalar(1) / w1.scalar),
-        v_node,
-        Proj(rec.dom),
-        Proj(w1.alpha),
-        from_polynomial(w1.source),
-        Proj(w1.alpha),
-        Proj(rec.dom),
-        Adj(v_node),
-    )
-    half2 = (
-        ScalarLit(Scalar(1) / w2.scalar),
-        Proj(rec.ran),
-        Proj(w2.alpha),
-        from_polynomial(w2.source),
-        Proj(w2.alpha),
-        Proj(rec.ran),
-    )
-    product_expr = Product(half1 + half2)
-    cert = PrimenessCertificate(
-        witness1=w1, witness2=w2, generator=rec, product_expr=product_expr
-    )
-    if eval_expr(product_expr) != cert.claim():
-        raise SoundnessError("primeness product does not normalize to the claim")
-    return cert
+    """Link the two witness cylinders; the certificate is the witnesses and
+    the generator record."""
+    return PrimenessCertificate(witness1=w1, witness2=w2, generator=reg.link(w1.alpha, w2.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -518,35 +495,29 @@ def _parse_scalar(text: str) -> Scalar:
     return terms[unit]
 
 
-WITNESS_FIELDS = ("alpha", "scalar", "root", "source", "certificate")
+WITNESS_KEYS = ("witness", "alpha", "scalar", "root", "source")
+WITNESS_LINES = len(WITNESS_KEYS) + 2  # the derived certificate line and "end witness"
 
 
-def parse_witness_block(lines: list[str], start: int) -> tuple[IdealWitness, int]:
-    """Parse the witness block at lines[start]; errors name lines[i] as line i + 1."""
-    if lines[start].strip() != "witness":
-        raise ValueError(f"expected a witness block at line {start + 1}")
-    fields: dict[str, str] = {}
-    i = start + 1
-    while i < len(lines) and lines[i].strip() != "end witness":
-        key, _, value = lines[i].strip().partition(" ")
-        if key not in WITNESS_FIELDS or key in fields:
-            what = "repeated" if key in fields else "unknown"
-            raise ValueError(f"line {i + 1}: {what} witness field {key!r}")
-        fields[key] = value
-        i += 1
-    if i >= len(lines):
-        raise ValueError("unterminated witness block")
-    if len(fields) != len(WITNESS_FIELDS):
-        missing = next(key for key in WITNESS_FIELDS if key not in fields)
-        raise ValueError(f"witness block has no field {missing}")
-    witness = IdealWitness(
-        source=_parse_poly(fields["source"]),
-        alpha=parse_tuple_text(fields["alpha"]),
-        scalar=_parse_scalar(fields["scalar"]),
-        certificate=parse_expr(fields["certificate"]),
-        root=_parse_poly(fields["root"]),
+def parse_witness_block(lines: list[str], first_line: int) -> IdealWitness:
+    """The witness whose block opens `lines`, read from its first five lines
+    by position; the rest of the block is derived, for the caller to read
+    back. Errors name lines[k] as line first_line + k."""
+    values = []
+    for k, key in enumerate(WITNESS_KEYS):
+        word, _, value = lines[k].partition(" ") if k < len(lines) else ("", "", "")
+        if word != key:
+            raise ValueError(f"line {first_line + k}: expected a line starting {key!r}")
+        values.append(value)
+    scalar = _parse_scalar(values[2])
+    if not scalar:
+        raise ValueError(f"line {first_line + 2}: zero compression scalar")
+    return IdealWitness(
+        alpha=parse_tuple_text(values[1]),
+        scalar=scalar,
+        root=_parse_poly(values[3]),
+        source=_parse_poly(values[4]),
     )
-    return witness, i + 1
 
 
 def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1) -> None:
@@ -559,61 +530,60 @@ def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1
 
 
 def parse_certificate_text(text: str) -> PrimenessCertificate:
+    """The certificate a file holds, read by position: header, generator
+    record, two witness blocks, then the derived product and claim lines.
+    The whole text must be exactly what the certificate prints."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "prefixalg certificate v1":
         raise ValueError("not a certificate file (bad header)")
-    fields = parse_record_line(lines[1].strip(), 2)
+    fields = parse_record_line(lines[1] if len(lines) > 1 else "", 2)
     if fields["_kind"] != "generator":
         raise ValueError("certificate is missing its generator record")
     rec = record_from_fields(fields, 2)
     rec.check()
-    w1, nxt = parse_witness_block(lines, 2)
-    w2, nxt = parse_witness_block(lines, nxt)
-    tail: dict[str, str] = {}
-    for line in lines[nxt:]:
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        if key not in ("product", "claim") or key in tail:
-            raise ValueError(f"unexpected certificate line {line!r}")
-        tail[key] = value
-    if len(tail) != 2:
-        raise ValueError("certificate is missing its product or claim")
     cert = PrimenessCertificate(
-        witness1=w1, witness2=w2, generator=rec, product_expr=parse_expr(tail["product"])
+        witness1=parse_witness_block(lines[2:], 3),
+        witness2=parse_witness_block(lines[2 + WITNESS_LINES:], 3 + WITNESS_LINES),
+        generator=rec,
     )
-    if _parse_poly(tail["claim"]) != cert.claim():
-        raise ValueError("certificate claim does not match its generator record")
+    check_reads_back(lines, cert.to_text().splitlines())
     return cert
 
 
 def _verify_witness(w: IdealWitness, label: str, problems: list[str]) -> None:
+    """P(alpha) lies in the ideal of the source: the source is a positive
+    element whose compression to alpha is a nonzero multiple of P(alpha)."""
     if not w.scalar:
         problems.append(f"{label}: zero compression scalar")
     if w.root.adjoint() * w.root != w.source:
         problems.append(f"{label}: source is not root'*root")
-    expected = Polynomial.projection(w.alpha)
-    if eval_expr(w.certificate) != expected:
-        problems.append(f"{label}: certificate does not evaluate to P(alpha)")
-    if w.source.compress(w.alpha) != expected.scale(w.scalar):
+    if w.source.compress(w.alpha) != Polynomial.projection(w.alpha).scale(w.scalar):
         problems.append(f"{label}: compression is not scalar * P(alpha)")
 
 
 def verify_certificate(
     cert: PrimenessCertificate, reg: Optional[Registry] = None
 ) -> VerifyReport:
-    """Re-derive everything a certificate claims, trusting only its text."""
+    """Check the premises that put the claim P(ran) in both ideals.
+
+    Each witness puts P(alpha) in its ideal, and a generator with dom
+    properly extending alpha1 and ran properly extending alpha2 gives
+    P(ran) = V P(dom) P(alpha1) P(dom) V' in the first ideal and
+    P(ran) = P(ran) P(alpha2) P(ran) in the second. No expression is
+    evaluated: the certificate's chains are derived from these fields.
+    """
     problems: list[str] = []
     _verify_witness(cert.witness1, "witness1", problems)
     _verify_witness(cert.witness2, "witness2", problems)
     rec = cert.generator
+    try:
+        rec.check()
+    except ValueError as exc:
+        problems.append(f"generator record: {exc}")
     if rec.n != max(len(rec.requested[0]), len(rec.requested[1])) + 1:
         problems.append("generator length does not follow the step rule")
     if rec.requested != (cert.witness1.alpha, cert.witness2.alpha):
         problems.append("generator was not requested for the witness cylinders")
-    if eval_expr(cert.product_expr) != cert.claim():
-        problems.append("product expression does not normalize to the claim")
     if reg is not None:
         if rec.stage >= len(reg.records) or reg.records[rec.stage] != rec:
             problems.append(f"registry has no matching record at stage {rec.stage}")
@@ -625,6 +595,8 @@ def verify_certificate(
 
 
 def verify_certificate_text(text: str, reg: Optional[Registry] = None) -> VerifyReport:
+    """Parse, insist that the text is exactly what the parsed certificate
+    prints, then verify the certificate."""
     try:
         cert = parse_certificate_text(text)
     except (ValueError, KeyError, IndexError) as exc:

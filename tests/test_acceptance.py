@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import record_criterion
 
 from prefixalg.cylinders import SequenceDesc, properly_extends
+from prefixalg.expr import eval_expr
 from prefixalg.monomials import (
     V,
     ZERO,
@@ -35,6 +36,7 @@ from prefixalg.witnesses import (
     ZeroReport,
     check_state_vanishes,
     ideal_projection_witness,
+    parse_certificate_text,
     primeness_witness,
     vanishing_witness,
     verify_certificate_text,
@@ -307,6 +309,31 @@ def test_criterion_6_primeness_pipeline():
             assert report, report.problems
             done += 1
         assert audit_records(reg.records) == []
+
+
+def test_primeness_chains_evaluate_to_their_claims():
+    """The verifier evaluates no expression; here evaluation is the oracle.
+    For random witness pairs, drawn as in criterion 6, the derived chains
+    normalize to what they stand for, and the text reads back."""
+    rng = random.Random("primeness-chains")
+    reg = Registry()
+    for _ in range(50):
+        witnesses = []
+        while len(witnesses) < 2:
+            q = rand_polynomial(rng, max_terms=3, max_len=2)
+            candidates = [SequenceDesc(m.dom + rand_tuple(rng, 1), 9) for m in q.terms]
+            candidates.append(SequenceDesc(rand_tuple(rng, 2), 9))
+            source = q.adjoint() * q
+            x = next((c for c in candidates if source.g_eval(c)), None)
+            if x is not None:
+                witnesses.append(ideal_projection_witness(reg, q, x))
+        cert = primeness_witness(reg, *witnesses)
+        assert eval_expr(cert.product_expr) == cert.claim()
+        for w in witnesses:
+            assert eval_expr(w.certificate) == Polynomial.projection(w.alpha)
+        text = cert.to_text()
+        again = parse_certificate_text(text)
+        assert again.to_text() == text and again == cert
 
 
 def test_criterion_7_fragment_psd():

@@ -556,17 +556,57 @@ def test_verify_certificate_checks_keys_and_fields(tmp_path, capsys):
         return edit
 
     cases = [
-        (insert(scalar, "junk line"), f"line {scalar + 1}: unknown witness field 'junk'"),
-        (insert(scalar, "scalar 1"), f"line {scalar + 2}: repeated witness field 'scalar'"),
-        (drop("source "), "witness block has no field source"),
+        (insert(scalar, "junk line"), f"line {scalar + 1}: expected a line starting 'scalar'"),
+        (insert(scalar, "scalar 1"), f"line {scalar + 2}: expected a line starting 'root'"),
+        (drop("source "), f"line {scalar + 3}: expected a line starting 'source'"),
         (replace(1, " fresh=", " extra=1 fresh="),
          "line 2: generator record has unknown field extra"),
         (replace(1, " n=", " stage=3 n="), "line 2: repeated field 'stage'"),
-        (insert(len(lines), lines[-1]), f"unexpected certificate line {lines[-1]!r}"),
+        (insert(len(lines), lines[-1]),
+         f"line {len(lines) + 1} does not read back exactly (expected no line)"),
     ]
     for edit, problem in cases:
         assert verify_edited(tmp_path, capsys, session, cert_path, edit) == (
             1, f"problem malformed certificate: {problem}\n", ""
+        )
+
+
+def test_verify_refuses_forged_product_and_certificate_lines(tmp_path, capsys):
+    """The product and certificate lines are derived from the other fields:
+    one that evaluates to the right projection, or that differs only in its
+    spacing, is still not the certificate's own and is refused."""
+    session = str(tmp_path / "s.txt")
+    cert_path = tmp_path / "cert.txt"
+    run("--session", session, "prime-witness", "P((1))", "(1)/0", "P((2))", "(2)/0",
+        "--out", str(cert_path))
+    lines = cert_path.read_text().splitlines()
+    product = next(i for i, line in enumerate(lines) if line.startswith("product "))
+    claim = lines[product + 1].split(" ", 1)[1]
+    certificates = [i for i, line in enumerate(lines) if line.startswith("certificate ")]
+    alphas = [line.split(" ", 1)[1] for line in lines if line.startswith("alpha ")]
+
+    def set_lines(changes):
+        def edit(lines):
+            for index, line in changes.items():
+                lines[index] = line
+        return edit
+
+    forged_product = {product: f"product {claim}"}
+    forged_witnesses = {i: f"certificate P({alpha})" for i, alpha in zip(certificates, alphas)}
+    respaced = {product: lines[product].replace(" * ", "*", 1)}
+    cases = [
+        (forged_product, product),
+        ({certificates[0]: forged_witnesses[certificates[0]]}, certificates[0]),
+        ({certificates[1]: forged_witnesses[certificates[1]]}, certificates[1]),
+        ({**forged_witnesses, **forged_product}, certificates[0]),
+        (respaced, product),
+    ]
+    for changes, first in cases:
+        code, out, err = verify_edited(tmp_path, capsys, session, cert_path, set_lines(changes))
+        assert (code, err) == (1, "")
+        assert out == (
+            f"problem malformed certificate: line {first + 1} does not read back exactly "
+            f"(expected {lines[first]!r})\n"
         )
 
 
@@ -592,11 +632,16 @@ def test_session_witness_binding_errors_name_file_line(tmp_path, capsys):
         "--bind", "c")
     lines = session.read_text().splitlines()
     scalar = lines.index("scalar 1")
-    lines.insert(scalar, "scalar 1")
-    text = "\n".join(lines) + "\n"
-    assert session_error(tmp_path, capsys, text) == (
-        2, "", f"error: line {scalar + 2}: repeated witness field 'scalar'\n"
-    )
+    repeated = lines[:scalar] + ["scalar 1"] + lines[scalar:]
+    # A block cut short ends at its "end binding" line, which the parser
+    # names and does not read past.
+    cut = lines[:scalar] + lines[lines.index("end binding", scalar):]
+    for edited, message in [
+        (repeated, f"line {scalar + 2}: expected a line starting 'root'"),
+        (cut, f"line {scalar + 1}: expected a line starting 'scalar'"),
+    ]:
+        text = "\n".join(edited) + "\n"
+        assert session_error(tmp_path, capsys, text) == (2, "", f"error: {message}\n")
 
 
 def test_non_ascii_state_weight_is_usage_error(tmp_path, capsys):

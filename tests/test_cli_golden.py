@@ -194,6 +194,12 @@ def transcript() -> str:
             run(*s, "verify", "cert-claim.txt")
             edit("cert.txt", "cert-scalar.txt", "scalar ", "scalar 3*")
             run(*s, "verify", "cert-scalar.txt")
+            # witness1's scalar doubled and every line derived from it
+            # rewritten to match: the text reads back, the lemma fails.
+            edit("cert.txt", "cert-rescaled.txt", "scalar 1\n", "scalar 2\n")
+            edit("cert-rescaled.txt", "cert-rescaled.txt", "certificate 1 *", "certificate 1/2 *")
+            edit("cert-rescaled.txt", "cert-rescaled.txt", "product 1 *", "product 1/2 *")
+            run(*s, "verify", "cert-rescaled.txt")
             edit("cert.txt", "cert-header.txt", "certificate v1", "certificate v2")
             run(*s, "verify", "cert-header.txt")
             run(*s, "verify", "trace.txt")

@@ -57,7 +57,7 @@ def build(seed):
         rng.choice([None, 1, 2]), rng.choice([False, True]),
     )
     q = Polynomial.isometry(dom, ran).scale(x)
-    witness = IdealWitness(source=q, alpha=dom, scalar=x, certificate=Proj(dom), root=q)
+    witness = IdealWitness(source=q, alpha=dom, scalar=x, root=q)
     word = (V(dom, ran), V(ran, ran))
     return {
         "SequenceDesc": point,
@@ -79,7 +79,7 @@ def build(seed):
         "TraceStep": step,
         "IdealWitness": witness,
         "PrimenessCertificate": PrimenessCertificate(
-            witness1=witness, witness2=witness, generator=gen, product_expr=Proj(ran)
+            witness1=witness, witness2=witness, generator=gen
         ),
         "VanishingTrace": VanishingTrace(
             word=word, pivot=ran, prot_stage=rng.randint(0, 3), steps=(step,), carrier=ran

@@ -26,6 +26,7 @@ from prefixalg.witnesses import (
     CASE_PREFIX_REWRITE,
     CASE_PROJECTION,
     HorizonError,
+    PrimenessCertificate,
     SoundnessError,
     TraceStep,
     VanishingTrace,
@@ -164,6 +165,28 @@ def test_certificate_against_wrong_registry():
     assert verify_certificate(cert, reg)
     assert not verify_certificate(cert, Registry())
     assert verify_certificate(cert, None)
+
+
+def test_verify_certificate_judges_the_generator_without_the_parser():
+    """An in-memory certificate is checked by the lemma's premises alone:
+    a generator that does not link the witness cylinders is named, though
+    nothing parses or evaluates the certificate."""
+    reg = Registry()
+    w1 = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, P((2,)), SequenceDesc((2,), 0))
+    rec = primeness_witness(reg, w1, w2).generator
+    assert (w1.alpha, w2.alpha, rec.dom, rec.ran) == ((1, 0), (2, 0), (1, 0, 0), (2, 0, 0))
+    cases = [
+        (dict(dom=(3, 0, 0)),
+         ["generator record: dom must properly extend the first requested tuple"]),
+        (dict(fresh=1), ["generator record: both tuples must end in the fresh label"]),
+        (dict(n=4, dom=(1, 0, 0, 0), ran=(2, 0, 0, 0)),
+         ["generator length does not follow the step rule"]),
+    ]
+    fields = dict(stage=0, n=3, dom=rec.dom, ran=rec.ran, requested=rec.requested, fresh=0)
+    for changes, problems in cases:
+        bad = PrimenessCertificate(w1, w2, GeneratorRecord(**{**fields, **changes}))
+        assert verify_certificate(bad, None).problems == problems
 
 
 def test_certificate_verify_sees_earlier_record_replaced():
