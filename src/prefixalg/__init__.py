@@ -7,11 +7,9 @@ intersection and state vanishing.
 """
 
 from .cylinders import (
-    Compat,
     Label,
     SequenceDesc,
     Tup,
-    compatibility,
     extends,
     format_seqdesc,
     format_tuple,

@@ -8,7 +8,6 @@ equality is decidable. Coordinates are 1-indexed throughout.
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 
 Label = int
@@ -63,14 +62,6 @@ class Frozen(Value):
         return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
-class Compat(Enum):
-    """How two tuples relate as prefixes of one another."""
-
-    A_EXTENDS_B = "a-extends-b"
-    B_PROPERLY_EXTENDS_A = "b-properly-extends-a"
-    DISJOINT = "disjoint"
-
-
 def extends(a: Tup, b: Tup) -> bool:
     """True when a begins with b; every tuple extends itself."""
     return len(a) >= len(b) and a[: len(b)] == b
@@ -78,19 +69,6 @@ def extends(a: Tup, b: Tup) -> bool:
 
 def properly_extends(a: Tup, b: Tup) -> bool:
     return len(a) > len(b) and a[: len(b)] == b
-
-
-def compatibility(a: Tup, b: Tup) -> Compat:
-    """Classify a pair of tuples; exactly one case holds.
-
-    DISJOINT means the tuples differ at some common coordinate, so their
-    cylinders do not meet.
-    """
-    if extends(a, b):
-        return Compat.A_EXTENDS_B
-    if properly_extends(b, a):
-        return Compat.B_PROPERLY_EXTENDS_A
-    return Compat.DISJOINT
 
 
 class SequenceDesc(Frozen):

@@ -17,15 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, Optional, Union
 
-from .cylinders import (
-    Compat,
-    Frozen,
-    SequenceDesc,
-    Tup,
-    compatibility,
-    format_tuple,
-    member,
-)
+from .cylinders import Frozen, SequenceDesc, Tup, format_tuple, member
 
 
 class _Zero:
@@ -73,6 +65,20 @@ class V(Frozen):
 
 Monomial = Union[V, _Zero]
 
+# The slot descriptors write a field past the class's refusing __setattr__.
+_new_object = object.__new__
+_set_dom = V.__dict__["dom"].__set__
+_set_ran = V.__dict__["ran"].__set__
+
+
+def _v(dom: Tup, ran: Tup) -> V:
+    """V(dom, ran) from tuples already of equal length: a bare instance whose
+    slots are set directly, without the length check of `V.__init__`."""
+    m = _new_object(V)
+    _set_dom(m, dom)
+    _set_ran(m, ran)
+    return m
+
 
 def projection(t: Tup) -> V:
     """P(t) = V(t, t), the projection onto the cylinder of t."""
@@ -92,19 +98,20 @@ def multiply(m1: Monomial, m2: Monomial) -> Monomial:
                 the composite rewrites c to b+s;
       a = d+u : m1 consumes more than m2 produced, which restricts the
                 domain to c+u and rewrites it to b;
-      disjoint: nothing survives.
+      neither : the tuples differ at a common coordinate and nothing
+                survives.
+    One length test picks the only case that can hold, and one slice
+    compare decides it.
     """
     if m1 is ZERO or m2 is ZERO:
         return ZERO
-    a, b = m1.dom, m1.ran
-    c, d = m2.dom, m2.ran
-    rel = compatibility(d, a)
-    if rel is Compat.A_EXTENDS_B:
-        s = d[len(a):]
-        return V(c, b + s)
-    if rel is Compat.B_PROPERLY_EXTENDS_A:
-        u = a[len(d):]
-        return V(c + u, b)
+    a, d = m1.dom, m2.ran
+    k, e = len(a), len(d)
+    if e >= k:
+        if d[:k] == a:
+            return _v(m2.dom, m1.ran + d[k:])
+    elif a[:e] == d:
+        return _v(m2.dom + a[e:], m1.ran)
     return ZERO
 
 
@@ -112,7 +119,7 @@ def adjoint(m: Monomial) -> Monomial:
     """V(a,b)* = V(b,a); the zero operator is self-adjoint."""
     if m is ZERO:
         return ZERO
-    return V(m.ran, m.dom)
+    return _v(m.ran, m.dom)
 
 
 def normal_form(word: Iterable[Monomial]) -> Monomial:

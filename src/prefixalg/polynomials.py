@@ -9,7 +9,7 @@ is an algebraic identity, so there are no tolerances anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .cylinders import Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
@@ -522,15 +522,19 @@ class FragmentMatrix(Frozen):
         """Exact semidefiniteness, judged block by block.
 
         The matrix is block diagonal over the connected components of its
-        nonzero pattern, and it is PSD iff every block is. Each block goes
-        through rational Schur-complement elimination: a Hermitian matrix is
-        PSD iff every pivot stays nonnegative and a zero pivot forces a zero
-        row and column; no floating point involved.
+        nonzero pattern, and it is PSD iff every block is. Each block is
+        cleared of denominators and goes through fraction-free (Bareiss)
+        elimination over the Gaussian integers: a Hermitian matrix is PSD
+        iff every pivot is real and nonnegative and a zero pivot comes with
+        a zero row, which then drops out; no floating point involved.
         """
         nonzeros = _nonzeros(self.rows)
         if not _hermitian(nonzeros):
             return False
-        return all(_schur_psd(nonzeros, block) for block in _blocks(nonzeros))
+        for block in _blocks(nonzeros):
+            if not _bareiss_psd(nonzeros, block):
+                return False
+        return True
 
     def to_text(self) -> str:
         """Row-major exact text: header line, then one row per line."""
@@ -585,32 +589,59 @@ def _blocks(nonzeros: list[dict[int, Scalar]]) -> list[list[int]]:
     return blocks
 
 
-def _schur_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
-    """Exact Schur-complement elimination of the Hermitian block `block`,
-    densified from its nonzero entries."""
-    work = [[nonzeros[i].get(j, _ZERO_SCALAR) for j in block] for i in block]
-    n = len(work)
+def _bareiss_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
+    """Fraction-free (Bareiss) elimination of the Hermitian block `block`.
+
+    The block is scaled by the lcm of its denominators, which keeps it PSD
+    exactly when it was, and eliminated over the Gaussian integers with
+    exact division by the previous nonzero pivot. Each pivot is then a
+    principal minor, with the sign of the rational pivot it stands for.
+    Only the upper triangle is filled: below it, entry (i, k) is the
+    conjugate of entry (k, i). The working lists live only in this call.
+    """
+    n = len(block)
+    scale = lcm(*[c.d for i in block for c in nonzeros[i].values()])
+    re = []
+    im = []
+    for r, i in enumerate(block):
+        entries = nonzeros[i]
+        re_r = [0] * n
+        im_r = [0] * n
+        for s in range(r, n):
+            c = entries.get(block[s])
+            if c is not None:
+                f = scale // c.d
+                re_r[s] = c.a * f
+                im_r[s] = c.b * f
+        re.append(re_r)
+        im.append(im_r)
+    prev = 1
     for k in range(n):
-        pivot = work[k]
-        d = pivot[k]
-        if d.b or d.a < 0:
+        re_k, im_k = re[k], im[k]
+        p = re_k[k]
+        if im_k[k] or p < 0:
             return False
-        if not d.a:
-            if any(pivot[k + 1:]):
+        if not p:
+            # A zero pivot of a PSD matrix has a zero row, which drops out;
+            # the previous pivot stays the divisor.
+            if any(re_k[k + 1:]) or any(im_k[k + 1:]):
                 return False
             continue
-        # Each row's factor is its pivot-column entry over the real pivot
-        # d.a/d.d: one reduced triple, (r.a*d.d + r.b*d.d*i)/(r.d*d.a).
-        num, den = d.d, d.a
-        cols = [j for j in range(k + 1, n) if pivot[j]]
         for i in range(k + 1, n):
-            row = work[i]
-            r = row[k]
-            if not r:
-                continue
-            factor = _reduced(r.a * num, r.b * num, r.d * den)
-            for j in cols:
-                row[j] = row[j] - factor * pivot[j]
+            re_i, im_i = re[i], im[i]
+            # Entry (i, k) = conj(entry (k, i)) = ur + ui*i.
+            ur, ui = re_k[i], -im_k[i]
+            if ur or ui:
+                for j in range(i, n):
+                    vr, vi = re_k[j], im_k[j]
+                    re_i[j] = (p * re_i[j] - ur * vr + ui * vi) // prev
+                    im_i[j] = (p * im_i[j] - ur * vi - ui * vr) // prev
+            elif p != prev:
+                # A zero entry (i, k) leaves only the scaling by p/prev.
+                for j in range(i, n):
+                    re_i[j] = p * re_i[j] // prev
+                    im_i[j] = p * im_i[j] // prev
+        prev = p
     return True
 
 

@@ -38,6 +38,8 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     assert prefixalg.polynomials.fragment_index is fragment_index
     assert [dict(vars(cls)) for cls in classes] == before
     metrics = tracer.layer_metrics(ops=1)
+    # The product rule must stay behind the module name the tracer wraps.
+    assert metrics["monomials.multiply_calls"] >= 1
     assert metrics["polynomials.scalars_built"] >= 1
     assert metrics["polynomials.fragment_rows"] == len(index.tuples)
     assert metrics["polynomials.psd_ms"] > 0

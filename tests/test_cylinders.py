@@ -3,9 +3,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from prefixalg.cylinders import (
-    Compat,
     SequenceDesc,
-    compatibility,
     extends,
     format_seqdesc,
     format_tuple,
@@ -31,12 +29,6 @@ def test_properly_extends_is_strict():
     assert not properly_extends((1,), (1,))
 
 
-def test_compatibility_examples():
-    assert compatibility((1, 5), (1,)) is Compat.A_EXTENDS_B
-    assert compatibility((1,), (1, 5)) is Compat.B_PROPERLY_EXTENDS_A
-    assert compatibility((1,), (2,)) is Compat.DISJOINT
-
-
 def test_member_examples():
     x = SequenceDesc((1, 2), 0)
     assert member(x, (1,))
@@ -46,15 +38,14 @@ def test_member_examples():
 
 @given(tuples, tuples)
 def test_trichotomy(a, b):
+    # Exactly one holds: a extends b, b properly extends a, or the tuples
+    # differ at a common coordinate (their cylinders do not meet).
     cases = [
         extends(a, b),
         properly_extends(b, a),
-        compatibility(a, b) is Compat.DISJOINT,
+        any(a[i] != b[i] for i in range(min(len(a), len(b)))),
     ]
     assert sum(cases) == 1
-    assert compatibility(a, b) is not Compat.DISJOINT or any(
-        a[i] != b[i] for i in range(min(len(a), len(b)))
-    )
 
 
 @given(points, tuples, tuples)

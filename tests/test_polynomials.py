@@ -474,6 +474,26 @@ def test_psd_rejects_negative_and_indefinite():
     assert not flip.is_positive_semidefinite()
 
 
+def dense_matrix(entries):
+    """A FragmentMatrix holding the given square list of Scalar-likes."""
+    n = len(entries)
+    index = FragmentIndex(tuples=tuple((k,) for k in range(n)), level=1, pad=n)
+    return FragmentMatrix(index=index, rows=tuple(tuple(Scalar.of(c) for c in row) for row in entries))
+
+
+def test_psd_skips_a_zero_pivot_that_appears_during_elimination():
+    # The first pivot clears row 1, so the second pivot is zero with a zero
+    # row: it drops out and the previous pivot stays the divisor.
+    assert dense_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 2]]).is_positive_semidefinite()
+    half = Fraction(1, 2)
+    assert not dense_matrix([[1, 1, 1], [1, 1, 1], [1, 1, half]]).is_positive_semidefinite()
+    # 2(1,1,1,0)(1,1,1,0)' + (0,0,1,1)(0,0,1,1)': the third pivot eliminates
+    # row 3 by exact division by the first pivot, past the skipped zero.
+    assert dense_matrix(
+        [[2, 2, 2, 0], [2, 2, 2, 0], [2, 2, 3, 1], [0, 0, 1, 1]]
+    ).is_positive_semidefinite()
+
+
 def dense_psd(rows):
     """Oracle: Schur-complement elimination of the whole Hermitian matrix on
     (re, im) pairs of Fractions, read once from each entry, so that it shares
@@ -498,16 +518,19 @@ def dense_psd(rows):
     return True
 
 
-def random_block(rng, kind):
+def random_block(rng, kind, denominators=None):
     """A Hermitian block: a Gram matrix B*B (often singular), the same with
     one diagonal entry pushed negative, or a Gram matrix with a zero pivot
-    beside a nonzero off-diagonal entry."""
+    beside a nonzero off-diagonal entry. The entries of B are integers, or
+    have denominators drawn from `denominators` when it is given."""
     size = rng.randint(1, 4)
     rank = rng.randint(1, size)
-    b = [
-        [Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))) for _ in range(size)]
-        for _ in range(rank)
-    ]
+
+    def part(lo, hi):
+        num = rng.randint(lo, hi)
+        return Fraction(num, rng.choice(denominators)) if denominators else Fraction(num)
+
+    b = [[Scalar(part(-3, 3), part(-2, 2)) for _ in range(size)] for _ in range(rank)]
     gram = [
         [sum((b[k][i].conjugate() * b[k][j] for k in range(rank)), Scalar(Fraction(0)))
          for j in range(size)]
@@ -526,13 +549,14 @@ def random_block(rng, kind):
     return gram
 
 
-def test_block_psd_matches_dense_oracle():
-    rng = random.Random(2024)
+def check_blocks_against_dense_oracle(rng, count, denominators=None):
+    """`count` matrices of shuffled random blocks: the verdict agrees with
+    `dense_psd` and with how the blocks were made."""
     verdicts = set()
-    for _ in range(80):
+    for _ in range(count):
         kinds = [rng.choice(["gram", "gram", "gram", "pushed", "zero-pivot"])
                  for _ in range(rng.randint(1, 5))]
-        blocks = [random_block(rng, kind) for kind in kinds]
+        blocks = [random_block(rng, kind, denominators) for kind in kinds]
         n = sum(len(block) for block in blocks)
         perm = list(range(n))
         rng.shuffle(perm)
@@ -543,14 +567,23 @@ def test_block_psd_matches_dense_oracle():
                 for j, c in enumerate(row):
                     rows[perm[offset + i]][perm[offset + j]] = c
             offset += len(block)
-        index = FragmentIndex(tuples=tuple((k,) for k in range(n)), level=1, pad=n)
-        matrix = FragmentMatrix(index=index, rows=tuple(tuple(r) for r in rows))
+        matrix = dense_matrix(rows)
         assert matrix.is_hermitian()
         verdict = matrix.is_positive_semidefinite()
         assert verdict == dense_psd(matrix.rows)
         assert verdict == all(kind == "gram" for kind in kinds)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_block_psd_matches_dense_oracle():
+    check_blocks_against_dense_oracle(random.Random(2024), 80)
+
+
+def test_block_psd_with_denominators_matches_dense_oracle():
+    # Gram factors over 1..6 denominators: each block is cleared of them
+    # by its lcm before the integer elimination.
+    check_blocks_against_dense_oracle(random.Random(6), 80, denominators=range(1, 7))
 
 
 def test_fragment_matrix_text():
