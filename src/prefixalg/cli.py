@@ -19,9 +19,7 @@ from .polynomials import Polynomial, parse_state_text
 from .registry import Registry, RegistryError
 from .session import Session
 from .witnesses import (
-    IdealWitness,
     SoundnessError,
-    VanishingTrace,
     WitnessError,
     ZeroReport,
     check_state_vanishes,
@@ -284,9 +282,7 @@ def _run(args, out) -> int:
         value = session.bindings[args.name]
         if isinstance(value, Polynomial):
             print(poly_text(value), file=out)
-        elif isinstance(value, IdealWitness):
-            print("\n".join(value.to_lines()), file=out)
-        elif isinstance(value, VanishingTrace):
+        else:
             print("\n".join(value.to_lines()), file=out)
         return OK
 

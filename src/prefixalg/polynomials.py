@@ -390,15 +390,9 @@ class Polynomial:
                 total = total + c
         return total
 
-    def fragment_matrix(
-        self, level: Optional[int] = None, index: Optional["FragmentIndex"] = None
-    ) -> "FragmentMatrix":
-        if index is None:
-            if level is None:
-                raise ValueError("fragment_matrix needs a level or a prebuilt index")
-            index = fragment_index([self], level)
-        elif level is not None and level != index.level:
-            raise ValueError("explicit level disagrees with the supplied index")
+    def fragment_matrix(self, index: "FragmentIndex") -> "FragmentMatrix":
+        """The matrix of this polynomial on the points of an index built by
+        `fragment_index`, whose level no tuple here exceeds."""
         if index.level < self.max_tuple_len():
             raise ValueError(
                 f"fragment level {index.level} is below the longest tuple "

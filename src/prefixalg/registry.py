@@ -9,18 +9,22 @@ state-vanishing argument run.
 
 Records are kept in request order because the avoidance sets depend on what
 came earlier. The fresh label is always the least unused one, so replaying a
-log of requests reproduces the registry bit for bit. `audit_records` checks a
-log as written, record by record, without replaying it.
+log of requests reproduces the registry bit for bit. A generator record is
+fixed by its request and its fresh label (`GeneratorRecord.issue`); loading,
+`audit_records` and certificate verification all hold a record to that rule.
+`audit_records` checks a log as written, record by record, without replaying
+it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import zip_longest
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text, properly_extends
-from .monomials import V, normal_form
+from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text
+from .monomials import V
 from .polynomials import DiagonalState, format_state, parse_state_text
 
 
@@ -28,8 +32,9 @@ class GeneratorRecord(Frozen):
     """An issued linking isometry V(dom, ran) and how it was requested.
 
     dom and ran extend the requested pair to length n, all added coordinates
-    equal to the fresh label chosen at this stage. A record read from text
-    is taken as written; `check` and the audit judge it.
+    equal to the fresh label chosen at this stage: the record `issue` builds.
+    A record built by hand or read from a certificate is taken as written;
+    `record_problem` judges it.
     """
 
     __slots__ = ("stage", "n", "dom", "ran", "requested", "fresh")
@@ -44,16 +49,18 @@ class GeneratorRecord(Frozen):
         object.__setattr__(self, "requested", requested)
         object.__setattr__(self, "fresh", fresh)
 
-    def check(self) -> None:
-        """Raise ValueError unless the fields agree with each other."""
-        if len(self.dom) != self.n or len(self.ran) != self.n:
-            raise ValueError("generator tuples must have length n")
-        if not properly_extends(self.dom, self.requested[0]):
-            raise ValueError("dom must properly extend the first requested tuple")
-        if not properly_extends(self.ran, self.requested[1]):
-            raise ValueError("ran must properly extend the second requested tuple")
-        if self.dom[-1] != self.fresh or self.ran[-1] != self.fresh:
-            raise ValueError("both tuples must end in the fresh label")
+    @staticmethod
+    def issue(stage: int, requested: tuple[Tup, Tup], fresh: int) -> "GeneratorRecord":
+        """The generator rule: the record `link` issues at this stage for the
+        requested pair when it chooses `fresh`. n is one past the longer
+        request, and dom and ran pad the request to length n with `fresh`.
+        """
+        req_dom, req_ran = requested
+        n = _depth(requested)
+        return GeneratorRecord(
+            stage=stage, n=n, dom=req_dom + (fresh,) * (n - len(req_dom)),
+            ran=req_ran + (fresh,) * (n - len(req_ran)), requested=requested, fresh=fresh,
+        )
 
     def monomial(self) -> V:
         return V(self.dom, self.ran)
@@ -94,6 +101,11 @@ class ProtectionRecord(Frozen):
 
 
 Record = Union[GeneratorRecord, ProtectionRecord]
+
+
+def _depth(requested: tuple[Tup, Tup]) -> int:
+    """The step rule: a request is linked one coordinate past its longer tuple."""
+    return max(len(requested[0]), len(requested[1])) + 1
 
 
 class RegistryError(Exception):
@@ -239,18 +251,13 @@ class Registry:
     def link(self, req_dom: Tup, req_ran: Tup) -> GeneratorRecord:
         """Issue the next linking isometry for the requested pair of tuples.
 
-        The new length is one past the longer request, and the least label
-        that no earlier record blocks at that depth fills every added
-        coordinate. The issued V satisfies V P(dom) V* = P(ran) exactly.
+        The fresh label is the least label that no earlier record blocks at
+        the depth of the step rule, and `GeneratorRecord.issue` builds the
+        record. The issued V satisfies V P(dom) V* = P(ran) exactly.
         """
-        stage = len(self.records)
-        n = max(len(req_dom), len(req_ran)) + 1
-        fresh = self.labels().least_free(n)
-        dom = req_dom + (fresh,) * (n - len(req_dom))
-        ran = req_ran + (fresh,) * (n - len(req_ran))
-        rec = GeneratorRecord(
-            stage=stage, n=n, dom=dom, ran=ran, requested=(req_dom, req_ran), fresh=fresh
-        )
+        requested = (req_dom, req_ran)
+        fresh = self.labels().least_free(_depth(requested))
+        rec = GeneratorRecord.issue(len(self.records), requested, fresh)
         self.records.append(rec)
         return rec
 
@@ -298,33 +305,31 @@ class Registry:
     def from_text(text: str, first_line: int = 1) -> "Registry":
         """Rebuild a registry by replaying the recorded requests.
 
-        Generator lines are re-derived from their requested pair and must
-        reproduce the recorded result exactly; protections with a recorded
-        state must reproduce the recorded support. Any mismatch means the
-        file was edited or produced by different code. Errors name the line,
-        counting the text's first line as `first_line`.
+        Only the requested pair of a generator line is read; `link` issues
+        the generator again. A protection line is read whole and judged by
+        `record_problem`. Every record line must then be exactly what its
+        record prints, so an edited derived field, or a file written by
+        different code, is refused. Errors name the line, counting the
+        text's first line as `first_line`.
         """
         reg = Registry()
         for lineno, raw in enumerate(text.splitlines(), start=first_line):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = record_from_fields(parse_record_line(line, lineno), lineno)
-            if isinstance(rec, ProtectionRecord):
-                state = rec.state
-                if state is not None and tuple(state.support_set(rec.horizon)) != rec.tuples:
-                    raise RegistryError(
-                        f"line {lineno}: recorded protection tuples do not "
-                        f"match the recorded state at horizon {rec.horizon}"
-                    )
-                if rec.stage != len(reg.records):
-                    raise RegistryError(f"line {lineno}: protection stage out of order")
-                reg.records.append(rec)
-            elif reg.link(*rec.requested) != rec:
-                raise RegistryError(
-                    f"line {lineno}: replay of the link request does not "
-                    f"reproduce the recorded generator"
+            fields = parse_record_line(line, lineno)
+            if fields["_kind"] == "generator":
+                field = partial(take_field, fields, lineno)
+                rec: Record = reg.link(
+                    field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)
                 )
+            else:
+                rec = record_from_fields(fields, lineno)
+                problem = record_problem(None, len(reg.records), rec)
+                if problem:
+                    raise RegistryError(f"line {lineno}: {problem}")
+                reg.records.append(rec)
+            check_reads_back([raw], [rec.to_line()], lineno)
         return reg
 
 
@@ -344,31 +349,38 @@ def audit_records(records: Sequence[Record]) -> list[str]:
     return problems
 
 
-def record_problem(index: LabelIndex, pos: int, rec: Record) -> Optional[str]:
-    """What is wrong with the record at this position, judged against the
-    records before it through an index that holds at least those; None when
-    nothing is."""
+def record_problem(index: Optional[LabelIndex], pos: int, rec: Record) -> Optional[str]:
+    """What is wrong with the record at this position; None when nothing is.
+
+    A generator must be the one `GeneratorRecord.issue` builds for its
+    request and fresh label, and the fresh label must be new at depth n:
+    neither used nor protected there by the records before it, read through
+    an index that holds at least those. With no index the generator is
+    judged by the rule alone. A protection needs a horizon of at least 1,
+    and its tuples must be the support of its state, when one is recorded,
+    up to that horizon.
+    """
     if rec.stage != pos:
         return f"stage {rec.stage} out of order"
-    if not isinstance(rec, GeneratorRecord):
+    if isinstance(rec, ProtectionRecord):
+        if rec.horizon < 1:
+            return f"stage {rec.stage}: protection horizon must be at least 1"
+        if rec.state is not None and tuple(rec.state.support_set(rec.horizon)) != rec.tuples:
+            return (
+                f"stage {rec.stage}: recorded protection tuples do not match "
+                f"the recorded state at horizon {rec.horizon}"
+            )
         return None
-    if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
-        return f"stage {rec.stage}: tuple lengths differ from n={rec.n}"
-    if not (
-        properly_extends(rec.dom, rec.requested[0])
-        and properly_extends(rec.ran, rec.requested[1])
-    ):
-        return f"stage {rec.stage}: tuples do not properly extend the request"
-    for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
-        used = index.first_use(rec.n, value) < pos
-        if used or index.first_protection(rec.n, value) < pos:
+    if rec != GeneratorRecord.issue(rec.stage, rec.requested, rec.fresh):
+        return (
+            f"stage {rec.stage}: not the generator issued for its request "
+            f"with fresh label {rec.fresh}"
+        )
+    if index is not None:
+        used = index.first_use(rec.n, rec.fresh) < pos
+        if used or index.first_protection(rec.n, rec.fresh) < pos:
             kind = "generator label" if used else "protected label"
-            return f"stage {rec.stage}: {name} reuses {kind} {value} at coordinate {rec.n}"
-    # The issued operator must conjugate its domain projection to its range
-    # projection; cheap, so re-checked whenever the record is judged.
-    v = rec.monomial()
-    if normal_form([v, V(rec.dom, rec.dom), V(rec.ran, rec.dom)]) != V(rec.ran, rec.ran):
-        return f"stage {rec.stage}: conjugation identity fails"
+            return f"stage {rec.stage}: fresh reuses {kind} {rec.fresh} at coordinate {rec.n}"
     return None
 
 
@@ -411,6 +423,15 @@ def take_field(fields: dict[str, str], lineno: int, name: str, parse: Callable[[
         return parse(fields.pop(name))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {fields['_kind']} record field {name}: {exc}") from None
+
+
+def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1) -> None:
+    """Raise ValueError at the first of `lines` that differs from what the
+    value parsed from them prints, naming it as `first_line` onwards."""
+    for lineno, (line, want) in enumerate(zip_longest(lines, canonical), start=first_line):
+        if line != want:
+            what = "no line" if want is None else repr(want)
+            raise ValueError(f"line {lineno} does not read back exactly (expected {what})")
 
 
 def _parse_tuples(text: str) -> tuple[Tup, ...]:

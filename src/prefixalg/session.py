@@ -1,8 +1,8 @@
 """Session files: a registry plus named bindings, in deterministic text.
 
 A session file replays on load: generator records are re-derived from their
-requests and must match bit for bit, and bindings round-trip through their
-canonical textual forms. Saving the same session twice, or replaying the
+requests, and every record line and binding must read back exactly as its
+canonical textual form. Saving the same session twice, or replaying the
 same command transcript twice, therefore produces identical bytes.
 """
 
@@ -14,14 +14,8 @@ from typing import Optional, Union
 from .cylinders import Value
 from .expr import eval_expr, poly_text
 from .polynomials import Polynomial
-from .registry import Registry, RegistryError
-from .witnesses import (
-    IdealWitness,
-    VanishingTrace,
-    check_reads_back,
-    parse_trace_lines,
-    parse_witness_block,
-)
+from .registry import Registry, RegistryError, check_reads_back
+from .witnesses import IdealWitness, VanishingTrace, parse_trace_lines, parse_witness_block
 
 HEADER = "prefixalg session v1"
 

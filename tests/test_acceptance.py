@@ -343,7 +343,7 @@ def test_criterion_7_fragment_psd():
             q = rand_polynomial(rng, max_terms=4, max_len=3)
             source = q.adjoint() * q
             level = max(source.max_tuple_len(), 1)
-            matrix = source.fragment_matrix(level)
+            matrix = source.fragment_matrix(fragment_index([source], level))
             assert matrix.is_hermitian()
             assert matrix.is_positive_semidefinite()
 

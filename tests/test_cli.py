@@ -357,10 +357,10 @@ def test_session_record_missing_field_names_line_and_field(tmp_path, capsys):
 def test_session_record_bad_field_names_line_and_field(tmp_path, capsys):
     generator = "generator stage=0 req_dom=(1) req_ran=(2) n=2 fresh=0 dom=(1,0) ran=(2,0)"
     cases = [
-        (generator.replace("stage=0", "stage=x1"),
-         "generator record field stage: invalid literal for int() with base 10: 'x1'"),
-        (generator.replace("dom=(1,0)", "dom=(1,x)"),
-         "generator record field dom: malformed label 'x' in tuple '(1,x)'"),
+        (generator.replace("req_dom=(1)", "req_dom=x1"),
+         "generator record field req_dom: malformed tuple literal 'x1'"),
+        (generator.replace("req_ran=(2)", "req_ran=(2,x)"),
+         "generator record field req_ran: malformed label 'x' in tuple '(2,x)'"),
         ("protection stage=0 horizon=1 tuples=(4)|(x) state=-",
          "protection record field tuples: malformed label 'x' in tuple '(x)'"),
         ("protection stage=0 horizon=1 tuples=(5) state=1@(5",
@@ -370,6 +370,13 @@ def test_session_record_bad_field_names_line_and_field(tmp_path, capsys):
     for line, message in cases:
         text = f"prefixalg session v1\n{line}\n"
         assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+    # The fields a generator derives from its request are not read; the
+    # line must read back exactly as the replayed link prints it.
+    for old, new in (("stage=0", "stage=x1"), ("dom=(1,0)", "dom=(1,x)")):
+        text = f"prefixalg session v1\n{generator.replace(old, new)}\n"
+        assert session_error(tmp_path, capsys, text) == (
+            2, "", f"error: line 2 does not read back exactly (expected {generator!r})\n"
+        )
 
 
 def test_session_trace_binding_error_names_file_line(tmp_path, capsys):
@@ -436,11 +443,11 @@ def test_session_replay_error_names_file_line(tmp_path, capsys):
     header, first, second = (tmp_path / "s.txt").read_text().splitlines()
     # The second generator takes label 0, which the first already took.
     tampered = second.replace("fresh=1", "fresh=0").replace(",1)", ",0)")
-    mismatch = "replay of the link request does not reproduce the recorded generator"
+    mismatch = f"does not read back exactly (expected {second!r})"
     text = "\n".join([header, first, tampered]) + "\n"
-    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 3: {mismatch}\n")
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 3 {mismatch}\n")
     text = "\n".join([header, first, "", tampered]) + "\n"
-    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 4: {mismatch}\n")
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 4 {mismatch}\n")
 
 
 def verify_edited(tmp_path, capsys, session, path, edit):
@@ -612,13 +619,34 @@ def test_verify_refuses_forged_product_and_certificate_lines(tmp_path, capsys):
 
 def test_session_refuses_unknown_fields_and_non_ascii_digits(tmp_path, capsys):
     generator = "generator stage=0 req_dom=(1) req_ran=(2) n=2 fresh=0 dom=(1,0) ran=(2,0)"
+    reads_back = f"line 2 does not read back exactly (expected {generator!r})"
     cases = [
-        (generator + " extra=1", "generator record has unknown field extra"),
-        (generator.replace("n=2", "n=2 n=2"), "repeated field 'n'"),
-        (generator.replace("stage=0", "stage=١"),
-         "generator record field stage: malformed natural number '١'"),
+        (generator + " extra=1", reads_back),
+        (generator.replace("n=2", "n=2 n=2"), "line 2: repeated field 'n'"),
+        (generator.replace("stage=0", "stage=١"), reads_back),
+        (generator.replace("req_dom=(1)", "req_dom=(١)"),
+         "line 2: generator record field req_dom: malformed label '١' in tuple '(١)'"),
+        ("protection stage=0 horizon=1 tuples=(5) state=- extra=1",
+         "line 2: protection record has unknown field extra"),
         ("protection stage=0 horizon=١ tuples=(5) state=1@(5)/0",
-         "protection record field horizon: malformed natural number '١'"),
+         "line 2: protection record field horizon: malformed natural number '١'"),
+    ]
+    for line, message in cases:
+        text = f"prefixalg session v1\n{line}\n"
+        assert session_error(tmp_path, capsys, text) == (2, "", f"error: {message}\n")
+
+
+def test_session_protection_is_judged_by_its_line(tmp_path, capsys):
+    """A protection no registry registers is refused at load, with or
+    without a state: horizon 0, tuples other than the state's support, or a
+    stage out of order."""
+    horizon = "stage 0: protection horizon must be at least 1"
+    cases = [
+        ("protection stage=0 horizon=0 tuples= state=1@(5)/0", horizon),
+        ("protection stage=0 horizon=0 tuples= state=-", horizon),
+        ("protection stage=0 horizon=1 tuples=(6) state=1@(5)/0",
+         "stage 0: recorded protection tuples do not match the recorded state at horizon 1"),
+        ("protection stage=1 horizon=1 tuples=(5) state=1@(5)/0", "stage 1 out of order"),
     ]
     for line, message in cases:
         text = f"prefixalg session v1\n{line}\n"

@@ -119,8 +119,9 @@ def transcript() -> str:
 
     def edit(src: str, dst: str, old: str, new: str) -> None:
         text = Path(src).read_text(encoding="utf-8")
-        assert old in text, (src, old)
-        Path(dst).write_text(text.replace(old, new, 1), encoding="utf-8")
+        edited = text.replace(old, new, 1)
+        assert edited != text, (src, old, new)
+        Path(dst).write_text(edited, encoding="utf-8")
 
     s = ("--session", "s.txt")
     with tempfile.TemporaryDirectory() as tmp:
@@ -212,7 +213,10 @@ def transcript() -> str:
 
             # Audits, of the session and of a tampered copy.
             run(*s, "audit")
-            edit("s.txt", "bad.txt", f"fresh={gens[1]['fresh']}", "fresh=0")
+            # Stage 3 takes label 0 at depth 4, which stage 2 took there,
+            # with its tuples rewritten to match.
+            edit("s.txt", "bad.txt", "fresh=1 dom=(3,0,3,1) ran=(2,0,2,1)",
+                 "fresh=0 dom=(3,0,3,0) ran=(2,0,2,0)")
             run("--session", "bad.txt", "audit")
             run("audit")
 

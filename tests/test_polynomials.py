@@ -340,11 +340,13 @@ def dagger(m):
 
 
 def test_fragment_examples():
-    m = P((1,)).fragment_matrix(1)
+    p = P((1,))
+    m = p.fragment_matrix(fragment_index([p], 1))
     assert m.index.tuples == ((1,),)
     assert m.rows == ((Scalar(Fraction(1)),),)
 
-    m = Iso((1,), (2,)).fragment_matrix(1)
+    p = Iso((1,), (2,))
+    m = p.fragment_matrix(fragment_index([p], 1))
     assert m.index.tuples == ((1,), (2,))
     assert entry(m, (2,), (1,)) == Scalar(Fraction(1))
     assert entry(m, (1,), (2,)) == Scalar(Fraction(0))
@@ -353,11 +355,13 @@ def test_fragment_examples():
 
 def test_fragment_pad_is_fresh_and_recorded():
     p = P((1,)) + Iso((0, 2), (2, 2))
-    m = p.fragment_matrix(2)
+    m = p.fragment_matrix(fragment_index([p], 2))
     assert m.index.pad == 3
     assert m.index.level == 2
     with pytest.raises(ValueError):
-        p.fragment_matrix(1)
+        fragment_index([p], 1)
+    with pytest.raises(ValueError, match="fragment level 1 is below the longest tuple"):
+        p.fragment_matrix(fragment_index([P((1,))], 1))
 
 
 def test_fragment_faithful_on_shared_index():
@@ -456,7 +460,7 @@ def test_fragment_psd_of_star_squares():
             )
         source = q.adjoint() * q
         level = max(source.max_tuple_len(), 1)
-        m = source.fragment_matrix(level)
+        m = source.fragment_matrix(fragment_index([source], level))
         assert m.is_hermitian()
         assert m.is_positive_semidefinite()
 
@@ -464,10 +468,12 @@ def test_fragment_psd_of_star_squares():
 def test_psd_rejects_negative_and_indefinite():
     one = Scalar(Fraction(1))
     zero = Scalar(Fraction(0))
-    neg = P((1,)).scale(-1).fragment_matrix(1)
+    p = P((1,)).scale(-1)
+    neg = p.fragment_matrix(fragment_index([p], 1))
     assert not neg.is_positive_semidefinite()
     # [[0, 1], [1, 0]] is Hermitian but indefinite.
-    flip = (Iso((1,), (2,)) + Iso((2,), (1,))).fragment_matrix(1)
+    p = Iso((1,), (2,)) + Iso((2,), (1,))
+    flip = p.fragment_matrix(fragment_index([p], 1))
     assert flip.is_hermitian()
     entries = [e for row in flip.rows for e in row]
     assert entries.count(one) == 2 and entries.count(zero) == 2
@@ -587,7 +593,8 @@ def test_block_psd_with_denominators_matches_dense_oracle():
 
 
 def test_fragment_matrix_text():
-    text = Iso((1,), (2,)).fragment_matrix(1).to_text()
+    p = Iso((1,), (2,))
+    text = p.fragment_matrix(fragment_index([p], 1)).to_text()
     lines = text.splitlines()
     assert lines[0] == "fragment level=1 pad=0 index=(1)|(2)"
     assert lines[1:] == ["0 0", "1 0"]

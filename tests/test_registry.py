@@ -1,12 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from prefixalg import registry
+from prefixalg import registry, witnesses
 from prefixalg.cylinders import SequenceDesc, properly_extends
 from prefixalg.monomials import V, adjoint, normal_form
-from prefixalg.polynomials import DiagonalState, Polynomial
+from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
 from prefixalg.registry import (
     GeneratorRecord,
     ProtectionRecord,
@@ -14,7 +15,13 @@ from prefixalg.registry import (
     RegistryError,
     audit_records,
 )
-from prefixalg.witnesses import ideal_projection_witness, primeness_witness, verify_certificate
+from prefixalg.witnesses import (
+    IdealWitness,
+    PrimenessCertificate,
+    ideal_projection_witness,
+    primeness_witness,
+    verify_certificate,
+)
 
 
 def replace(rec, **changes):
@@ -195,7 +202,7 @@ def test_audit_records_names_every_problem():
     )
     records[5] = replace(records[5], stage=9)
     assert audit_records(records) == [
-        "stage 2: dom reuses generator label 0 at coordinate 2",
+        "stage 2: fresh reuses generator label 0 at coordinate 2",
         "stage 9 out of order",
     ]
 
@@ -221,10 +228,10 @@ def test_replay_detects_tampering():
     reg = Registry()
     reg.link((1,), (2, 7))
     text = reg.to_text()
-    with pytest.raises(RegistryError):
-        Registry.from_text(text.replace("fresh=0", "fresh=3"))
-    with pytest.raises(RegistryError):
-        Registry.from_text(text.replace("n=3", "n=4"))
+    for old, new in (("fresh=0", "fresh=3"), ("n=3", "n=4")):
+        with pytest.raises(ValueError) as exc:
+            Registry.from_text(text.replace(old, new))
+        assert str(exc.value) == f"line 1 does not read back exactly (expected {text.strip()!r})"
 
 
 def test_replay_detects_protection_tampering():
@@ -313,13 +320,18 @@ def scan_first_protection(records, n, label):
 
 def replay_audit(records):
     """The audit as a replay of every record into fresh label sets, each
-    record checked before it is added: the oracle for `audit_records`."""
+    record checked before it is added: the oracle for `audit_records`. A
+    generator is held to the link rule spelled out here, not to
+    `GeneratorRecord.issue`."""
     used, protected, problems = {}, {}, []
     for pos, rec in enumerate(records):
         if rec.stage != pos:
             problems.append(f"stage {rec.stage} out of order")
-        elif isinstance(rec, GeneratorRecord):
-            problem = replay_generator_problem(rec, used, protected)
+        else:
+            if isinstance(rec, GeneratorRecord):
+                problem = replay_generator_problem(rec, used, protected)
+            else:
+                problem = replay_protection_problem(rec)
             if problem:
                 problems.append(f"stage {rec.stage}: {problem}")
         if isinstance(rec, ProtectionRecord):
@@ -333,21 +345,39 @@ def replay_audit(records):
 
 
 def replay_generator_problem(rec, used, protected):
-    if len(rec.dom) != rec.n or len(rec.ran) != rec.n:
-        return f"tuple lengths differ from n={rec.n}"
-    if not (
-        properly_extends(rec.dom, rec.requested[0])
-        and properly_extends(rec.ran, rec.requested[1])
-    ):
-        return "tuples do not properly extend the request"
-    for name, value in (("dom", rec.dom[-1]), ("ran", rec.ran[-1])):
-        in_used = value in used.get(rec.n, ())
-        if in_used or value in protected.get(rec.n, ()):
-            kind = "generator label" if in_used else "protected label"
-            return f"{name} reuses {kind} {value} at coordinate {rec.n}"
-    v = rec.monomial()
-    if normal_form([v, V(rec.dom, rec.dom), adjoint(v)]) != V(rec.ran, rec.ran):
-        return "conjugation identity fails"
+    """The link rule: n is one past the longer request, dom and ran are the
+    request padded to n with the fresh label, which no earlier record used
+    or protected at coordinate n."""
+    req_dom, req_ran = rec.requested
+    n = max(len(req_dom), len(req_ran)) + 1
+    pad = (rec.fresh,) * n
+    if (rec.n, rec.dom, rec.ran) != (n, (req_dom + pad)[:n], (req_ran + pad)[:n]):
+        return f"not the generator issued for its request with fresh label {rec.fresh}"
+    in_used = rec.fresh in used.get(n, ())
+    if in_used or rec.fresh in protected.get(n, ()):
+        kind = "generator label" if in_used else "protected label"
+        return f"fresh reuses {kind} {rec.fresh} at coordinate {n}"
+    return None
+
+
+def replay_protection_problem(rec):
+    """A horizon of at least 1, and tuples that are the prefixes of the
+    state's points up to the horizon, shorter first, when a state is
+    recorded."""
+    if rec.horizon < 1:
+        return "protection horizon must be at least 1"
+    if rec.state is None:
+        return None
+    support = {
+        (x.prefix + (x.tail,) * n)[:n]
+        for x, _ in rec.state.points
+        for n in range(1, rec.horizon + 1)
+    }
+    if rec.tuples != tuple(sorted(support, key=lambda t: (len(t), t))):
+        return (
+            "recorded protection tuples do not match the recorded state "
+            f"at horizon {rec.horizon}"
+        )
     return None
 
 
@@ -427,21 +457,43 @@ def hand_generator(rng, stage):
 
 
 def malformed_generator(rng, stage):
-    """A generator record whose fields contradict each other: wrong n, or
-    tuples that do not extend the request."""
+    """A generator record that is not the one its request and fresh label
+    give: n out of step with the tuples, tuples that do not extend the
+    request, one more padded coordinate than the step rule allows, or a
+    range padded with another label."""
     rec = hand_generator(rng, stage)
-    if rng.random() < 0.5:
+    kind = rng.randrange(4)
+    if kind == 0:
         return replace(rec, n=rec.n + 1)
-    return replace(rec, requested=(rec.dom, rec.ran))
+    if kind == 1:
+        return replace(rec, requested=(rec.dom, rec.ran))
+    if kind == 2:
+        return replace(rec, n=rec.n + 1, dom=rec.dom + (rec.fresh,), ran=rec.ran + (rec.fresh,))
+    return replace(rec, ran=rec.ran[:-1] + (rec.fresh + 1,))
 
 
-def test_audit_records_matches_fresh_replay():
-    verdicts, counts = set(), set()
-    for seed in range(20):
+def malformed_protection(rng, stage):
+    """A protection record no registry registers: a horizon of 0, with or
+    without a state, or tuples that are not its state's support."""
+    state = rand_state(rng)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ProtectionRecord(stage=stage, tuples=(), horizon=0, state=state)
+    if kind == 1:
+        return ProtectionRecord(stage=stage, tuples=((rng.randint(0, 5),),), horizon=0)
+    horizon = rng.randint(1, 4)
+    tuples = tuple(state.support_set(horizon))
+    return ProtectionRecord(stage=stage, tuples=tuples[:-1], horizon=horizon, state=state)
+
+
+def record_mixes(seeds=range(20), steps=150):
+    """Seeded logs of linked, registered, hand-made and malformed records,
+    cut back, edited in place and restored: the log after every step."""
+    for seed in seeds:
         rng = random.Random(seed)
         reg = Registry()
         saved = []  # (position, original record) of in-place edits
-        for _ in range(150):
+        for _ in range(steps):
             records = reg.records
             roll = rng.random()
             if roll < 0.35:
@@ -458,12 +510,14 @@ def test_audit_records_matches_fresh_replay():
             elif records and roll < 0.9:
                 pos = rng.randrange(len(records))
                 saved.append((pos, records[pos]))
-                edit = rng.randrange(4)
+                edit = rng.randrange(5)
                 if edit == 0:
                     records[pos] = hand_generator(rng, pos)
                 elif edit == 1:
                     records[pos] = malformed_generator(rng, pos)
                 elif edit == 2:
+                    records[pos] = malformed_protection(rng, pos)
+                elif edit == 3:
                     stage = pos + rng.choice((-2, -1, 1, 3))
                     records[pos] = replace(records[pos], stage=stage)
                 else:
@@ -473,27 +527,76 @@ def test_audit_records_matches_fresh_replay():
                 pos, rec = saved.pop()
                 if pos < len(records):
                     records[pos] = rec
-            problems = audit_records(reg.records)
-            assert problems == replay_audit(reg.records)
-            verdicts.update(problems or ["ok"])
-            counts.add(min(len(problems), 2))
+            yield reg.records
+
+
+def test_audit_records_matches_fresh_replay():
+    verdicts, counts = set(), set()
+    for records in record_mixes():
+        problems = audit_records(records)
+        assert problems == replay_audit(records)
+        verdicts.update(problems or ["ok"])
+        counts.add(min(len(problems), 2))
     assert counts == {0, 1, 2}
     for phrase in (
-        "ok", "out of order", "tuple lengths differ", "do not properly extend",
-        "reuses generator label", "reuses protected label",
+        "ok", "out of order", "not the generator issued", "reuses generator label",
+        "reuses protected label", "horizon must be at least 1",
+        "tuples do not match the recorded state",
     ):
         assert any(phrase in verdict for verdict in verdicts), phrase
 
 
-def count_conjugation_checks(monkeypatch):
+def refused_positions(records):
+    """The positions of the records `audit_records` refuses."""
+    refused, before = [], 0
+    for k in range(len(records)):
+        now = len(audit_records(records[: k + 1]))
+        if now > before:
+            refused.append(k)
+        before = now
+    return refused
+
+
+def test_load_audit_and_verify_agree():
+    """Whatever the audit refuses, loading the log's text refuses at or
+    before that record's line; whatever `verify_certificate` refuses in a
+    generator alone, the audit refuses too."""
+
+    def projection_witness(alpha):
+        p = Polynomial.projection(alpha)
+        return IdealWitness(p, alpha, Scalar(1), p)
+
+    kinds, loads_refused = set(), 0
+    for records in record_mixes(range(8), 80):
+        records = list(records)
+        refused = refused_positions(records)
+        if refused:
+            loads_refused += 1
+            k = refused[0]
+            text = "".join(rec.to_line() + "\n" for rec in records[: k + 1])
+            with pytest.raises((RegistryError, ValueError)) as exc:
+                Registry.from_text(text)
+            assert int(re.match(r"line (\d+)", str(exc.value)).group(1)) <= k + 1
+        for k, rec in enumerate(records):
+            if isinstance(rec, GeneratorRecord):
+                w1, w2 = map(projection_witness, rec.requested)
+                report = verify_certificate(PrimenessCertificate(w1, w2, rec), None)
+                kinds.add(report.ok)
+                if not report.ok:
+                    assert k in refused, (rec, report.problems)
+    assert kinds == {True, False}
+    assert loads_refused > 100
+
+
+def count_record_problem_calls(monkeypatch):
     calls = []
-    real = registry.normal_form
+    real = registry.record_problem
 
-    def counting(word):
-        calls.append(word)
-        return real(word)
+    def counting(index, pos, rec):
+        calls.append(rec)
+        return real(index, pos, rec)
 
-    monkeypatch.setattr(registry, "normal_form", counting)
+    monkeypatch.setattr(witnesses, "record_problem", counting)
     return calls
 
 
@@ -509,6 +612,6 @@ def test_certificate_verify_checks_one_record(monkeypatch):
     w1 = ideal_projection_witness(reg, Polynomial.projection((1,)), SequenceDesc((1,), 0))
     w2 = ideal_projection_witness(reg, Polynomial.projection((2,)), SequenceDesc((2,), 0))
     cert = primeness_witness(reg, w1, w2)
-    calls = count_conjugation_checks(monkeypatch)
+    calls = count_record_problem_calls(monkeypatch)
     assert verify_certificate(cert, reg)
     assert len(calls) == 1

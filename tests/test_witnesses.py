@@ -149,7 +149,10 @@ def test_certificate_text_round_trip_and_tampering():
     assert not verify_certificate_text(tampered, reg)
     tampered = text.replace(" fresh=", " fresh=9", 1)
     assert verify_certificate_text(tampered, reg).problems == [
-        "malformed certificate: both tuples must end in the fresh label"
+        "registry has no matching record at stage 0"
+    ]
+    assert verify_certificate_text(tampered, None).problems == [
+        "generator record: stage 0: not the generator issued for its request with fresh label 90"
     ]
     tampered = text.replace("scalar 4", "scalar 3") if "scalar 4" in text else text.replace(
         "scalar 1", "scalar 3", 1
@@ -176,12 +179,12 @@ def test_verify_certificate_judges_the_generator_without_the_parser():
     w2 = ideal_projection_witness(reg, P((2,)), SequenceDesc((2,), 0))
     rec = primeness_witness(reg, w1, w2).generator
     assert (w1.alpha, w2.alpha, rec.dom, rec.ran) == ((1, 0), (2, 0), (1, 0, 0), (2, 0, 0))
+    rule = "generator record: stage 0: not the generator issued for its request with fresh label"
     cases = [
-        (dict(dom=(3, 0, 0)),
-         ["generator record: dom must properly extend the first requested tuple"]),
-        (dict(fresh=1), ["generator record: both tuples must end in the fresh label"]),
-        (dict(n=4, dom=(1, 0, 0, 0), ran=(2, 0, 0, 0)),
-         ["generator length does not follow the step rule"]),
+        (dict(dom=(3, 0, 0)), [f"{rule} 0"]),
+        (dict(fresh=1), [f"{rule} 1"]),
+        (dict(n=4, dom=(1, 0, 0, 0), ran=(2, 0, 0, 0)), [f"{rule} 0"]),
+        (dict(dom=(1, 0, 5), ran=(2, 0, 6), fresh=5), [f"{rule} 5"]),
     ]
     fields = dict(stage=0, n=3, dom=rec.dom, ran=rec.ran, requested=rec.requested, fresh=0)
     for changes, problems in cases:
@@ -204,7 +207,7 @@ def test_certificate_verify_sees_earlier_record_replaced():
         stage=1, n=2, dom=(3, 0), ran=(4, 0), requested=((3,), (4,)), fresh=0
     )
     assert audit_records(reg.records) == [
-        "stage 1: dom reuses generator label 0 at coordinate 2"
+        "stage 1: fresh reuses generator label 0 at coordinate 2"
     ]
     # The edit is behind the tail, outside the log's contract; verify judges
     # only the certificate's own record, which the edit leaves sound.
@@ -220,7 +223,7 @@ def test_certificate_verify_sees_earlier_record_replaced():
         cert.generator,
     ]
     assert verify_certificate(cert, bad).problems == [
-        "registry audit fails: stage 2: dom reuses generator label 0 at coordinate 3"
+        "registry audit fails: stage 2: fresh reuses generator label 0 at coordinate 3"
     ]
 
 
