@@ -16,7 +16,6 @@ from .cylinders import (
     member,
     parse_seqdesc_text,
     parse_tuple_text,
-    properly_extends,
 )
 from .monomials import (
     V,
@@ -48,7 +47,7 @@ from .registry import (
     RegistryError,
     audit_records,
 )
-from .expr import eval_expr, expr_to_word, from_polynomial, poly_text, print_expr
+from .expr import eval_expr, expr_to_word, poly_text, print_expr
 from .parser import ParseError, parse_expr, parse_word
 from .session import Session
 from .witnesses import (

@@ -67,10 +67,6 @@ def extends(a: Tup, b: Tup) -> bool:
     return len(a) >= len(b) and a[: len(b)] == b
 
 
-def properly_extends(a: Tup, b: Tup) -> bool:
-    return len(a) > len(b) and a[: len(b)] == b
-
-
 class SequenceDesc(Frozen):
     """A finitely described sequence: an explicit prefix, then a constant tail.
 
@@ -118,7 +114,7 @@ def member(x: SequenceDesc, a: Tup) -> bool:
 
 
 def format_tuple(t: Tup) -> str:
-    return "(" + ",".join(str(v) for v in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def format_seqdesc(x: SequenceDesc) -> str:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Union
 
 from .cylinders import Frozen, Tup, format_tuple
-from .monomials import V, Monomial, adjoint as monomial_adjoint
-from .polynomials import ONE, Polynomial, Scalar
+from .monomials import V, Monomial, adjoint as monomial_adjoint, format_monomial
+from .polynomials import ONE, Polynomial, Scalar, add_into
 
 
 class ScalarLit(Frozen):
@@ -63,13 +63,19 @@ class Sum(Frozen):
 Expr = Union[ScalarLit, Proj, Iso, Adj, Product, Sum]
 
 
+def _leaf(m: V, c: Scalar) -> Polynomial:
+    out = Polynomial()
+    out.terms = {m: c}
+    return out
+
+
 def eval_expr(e: Expr) -> Polynomial:
     if isinstance(e, ScalarLit):
-        return Polynomial.unit().scale(e.value)
+        return _leaf(V((), ()), e.value) if e.value else Polynomial()
     if isinstance(e, Proj):
-        return Polynomial.projection(e.tup)
+        return _leaf(V(e.tup, e.tup), ONE)
     if isinstance(e, Iso):
-        return Polynomial.isometry(e.dom, e.ran)
+        return _leaf(V(e.dom, e.ran), ONE)
     if isinstance(e, Adj):
         return eval_expr(e.inner).adjoint()
     if isinstance(e, Product):
@@ -86,22 +92,19 @@ def eval_expr(e: Expr) -> Polynomial:
             out = Polynomial.unit()
         return out if coeff is ONE else out.scale(coeff)
     if isinstance(e, Sum):
-        out = Polynomial.zero()
+        # Every term adds into one dict, in the order the terms come.
+        res: dict[V, Scalar] = {}
         for sign, term in e.terms:
-            p = eval_expr(term)
-            out = out + (p if sign > 0 else -p)
+            add_into(res, eval_expr(term).terms, sign < 0)
+        out = Polynomial()
+        out.terms = res
         return out
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def print_expr(e: Expr) -> str:
     if isinstance(e, ScalarLit):
-        text = e.value.to_text()
-        # A bare literal must re-lex as a single scalar; anything signed or
-        # genuinely complex needs the parenthesized sum form.
-        if text.startswith("-") or ("+" in text) or ("-" in text[1:]):
-            return f"({text})"
-        return text
+        return literal_text(e.value)
     if isinstance(e, Proj):
         return f"P({format_tuple(e.tup)})"
     if isinstance(e, Iso):
@@ -135,42 +138,49 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def monomial_node(m: V) -> Expr:
-    if m.dom == m.ran:
-        return Proj(m.dom)
-    return Iso(m.dom, m.ran)
+def literal_text(s: Scalar) -> str:
+    """A scalar as a printed factor. A bare literal must re-lex as a single
+    scalar; anything signed or genuinely complex needs the parenthesized
+    sum form."""
+    text = s.to_text()
+    if text.startswith("-") or ("+" in text) or ("-" in text[1:]):
+        return f"({text})"
+    return text
 
 
-def from_polynomial(p: Polynomial) -> Expr:
-    """A canonical expression whose evaluation is exactly p.
-
-    Real coefficients become signed rational factors, purely imaginary ones
-    keep the sign on the imaginary part, and general complex coefficients
-    ride along as parenthesized literals.
-    """
-    if not p:
-        return ScalarLit(Scalar(0))
-    terms: list[tuple[int, Expr]] = []
-    for m, c in p.sorted_terms():
-        node = monomial_node(m)
-        if c.a and c.b:
-            terms.append((1, Product((ScalarLit(c), node))))
-            continue
-        # Real or purely imaginary: the sign moves out of the literal.
-        sign = 1 if c.a > 0 or c.b > 0 else -1
-        mag = c if sign > 0 else -c
-        if mag == ONE:
-            terms.append((sign, node))
-        else:
-            terms.append((sign, Product((ScalarLit(mag), node))))
-    if len(terms) == 1 and terms[0][0] > 0:
-        return terms[0][1]
-    return Sum(tuple(terms))
+def _negative(c: Scalar) -> bool:
+    """A real or purely imaginary coefficient below zero: its sign prints in
+    front of its term. A general complex one keeps its sign in its literal."""
+    return (c.a < 0 and not c.b) or (c.b < 0 and not c.a)
 
 
 def poly_text(p: Polynomial) -> str:
-    """The canonical textual form of a polynomial."""
-    return print_expr(from_polynomial(p))
+    """The canonical textual form of a polynomial, its terms in
+    `sorted_terms()` order. A real or purely imaginary coefficient prints
+    as a sign and a magnitude, the magnitude left out when it is 1; a general
+    complex one prints as a parenthesized literal after a plus sign."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for m, c in p.sorted_terms():
+        sign = "-" if _negative(c) else "+"
+        mag = -c if sign == "-" else c
+        mono = format_monomial(m)
+        parts += (sign, mono if mag == ONE else f"{literal_text(mag)} * {mono}")
+    text = " ".join(parts)[2:]
+    return text if parts[0] == "+" else "-" + text
+
+
+def factor_text(p: Polynomial, text: str, adjoint: bool = False) -> str:
+    """`text`, which `poly_text` printed for p, as a factor of a printed
+    product, or as an adjoint factor. Only a lone term with coefficient 1
+    stays bare as an adjoint; zero and a lone term with a positive sign stay
+    bare as a factor. Everything else is parenthesized."""
+    lone = next(iter(p.terms.values())) if len(p.terms) == 1 else None
+    if adjoint:
+        return text + "'" if lone == ONE else f"({text})'"
+    bare = not p.terms or (lone is not None and not _negative(lone))
+    return text if bare else f"({text})"
 
 
 def expr_to_word(e: Expr) -> list[Monomial]:

@@ -200,6 +200,20 @@ ONE = _raw(1, 0, 1)
 _ZERO_SCALAR = _raw(0, 0, 1)
 
 
+def add_into(res: dict[V, Scalar], terms: dict[V, Scalar], negate: bool = False) -> None:
+    """Add `terms`, negated if asked, into the canonical dict `res` in place.
+    A monomial whose coefficients cancel leaves `res`."""
+    for m, c in terms.items():
+        if negate:
+            c = -c
+        prev = res.get(m)
+        s = c if prev is None else prev + c
+        if s:
+            res[m] = s
+        else:
+            res.pop(m, None)
+
+
 class Polynomial:
     """Finitely supported map from nonzero monomials to nonzero scalars.
 
@@ -247,13 +261,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = res.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
+        add_into(res, other.terms)
         out = Polynomial()
         out.terms = res
         return out

@@ -307,16 +307,17 @@ class Registry:
 
         Only the requested pair of a generator line is read; `link` issues
         the generator again. A protection line is read whole and judged by
-        `record_problem`. Every record line must then be exactly what its
-        record prints, so an edited derived field, or a file written by
-        different code, is refused. Errors name the line, counting the
-        text's first line as `first_line`.
+        `record_problem`. Every line must be a record line, exactly what its
+        record prints, so a blank or comment line, an edited derived field,
+        or a file written by different code, is refused. Errors name the
+        line, counting the text's first line as `first_line`.
         """
         reg = Registry()
         for lineno, raw in enumerate(text.splitlines(), start=first_line):
             line = raw.strip()
             if not line or line.startswith("#"):
-                continue
+                # A save writes only records, so it would drop such a line.
+                raise RegistryError(f"line {lineno}: blank or comment line in the record block")
             fields = parse_record_line(line, lineno)
             if fields["_kind"] == "generator":
                 field = partial(take_field, fields, lineno)

@@ -34,18 +34,7 @@ from .cylinders import (
     parse_natural,
     parse_tuple_text,
 )
-from .expr import (
-    Adj,
-    Expr,
-    Product,
-    Proj,
-    ScalarLit,
-    eval_expr,
-    from_polynomial,
-    monomial_node,
-    poly_text,
-    print_expr,
-)
+from .expr import eval_expr, factor_text, literal_text, poly_text
 from .monomials import (
     V,
     ZERO,
@@ -92,8 +81,8 @@ class IdealWitness(Value):
     """P(alpha) * source * P(alpha) collapses to scalar * P(alpha), scalar != 0.
 
     `source` is the positive element root'*root, so P(alpha) lies in any
-    closed two-sided ideal containing it; the certificate spells that out as
-    an expression tree built from the other fields.
+    closed two-sided ideal containing it; the certificate line spells that
+    out as 1/scalar * P(alpha) * root' * root * P(alpha).
     """
 
     __slots__ = ("source", "alpha", "scalar", "root")
@@ -104,21 +93,21 @@ class IdealWitness(Value):
         self.scalar = scalar
         self.root = root
 
-    @property
-    def certificate(self) -> Expr:
-        """1/scalar * P(alpha) * root' * root * P(alpha), which evaluates to
-        P(alpha) whenever the witness verifies."""
-        root, proj = from_polynomial(self.root), Proj(self.alpha)
-        return Product((ScalarLit(Scalar(1) / self.scalar), proj, Adj(root), root, proj))
-
-    def to_lines(self) -> list[str]:
+    def to_lines(self, source: Optional[str] = None) -> list[str]:
+        """The witness block; `source`, if given, is `poly_text(self.source)`
+        printed already."""
+        root, alpha = poly_text(self.root), format_tuple(self.alpha)
+        if source is None:
+            source = poly_text(self.source)
+        certificate = [literal_text(Scalar(1) / self.scalar), f"P({alpha})",
+                       factor_text(self.root, root, adjoint=True), factor_text(self.root, root), f"P({alpha})"]
         return [
             "witness",
-            f"alpha {format_tuple(self.alpha)}",
+            f"alpha {alpha}",
             f"scalar {self.scalar.to_text()}",
-            f"root {poly_text(self.root)}",
-            f"source {poly_text(self.source)}",
-            f"certificate {print_expr(self.certificate)}",
+            f"root {root}",
+            f"source {source}",
+            "certificate " + " * ".join(certificate),
             "end witness",
         ]
 
@@ -161,8 +150,9 @@ class PrimenessCertificate(Value):
     """Two ideal witnesses and the generator linking their cylinders.
 
     Together they put the projection of the generator's range tuple in both
-    ideals at once; the product expression spells that out, built from the
-    fields.
+    ideals at once. The product line spells that out: its left half pushes
+    witness1's projection through the linking isometry, its right half is
+    witness2's compression.
     """
 
     __slots__ = ("witness1", "witness2", "generator")
@@ -177,24 +167,19 @@ class PrimenessCertificate(Value):
     def claim(self) -> Polynomial:
         return Polynomial.projection(self.generator.ran)
 
-    @property
-    def product_expr(self) -> Expr:
-        """The left half pushes witness1's projection through the linking
-        isometry, the right half is witness2's compression; the whole word
-        normalizes to the claim whenever the certificate verifies."""
-        w1, w2, rec = self.witness1, self.witness2, self.generator
-        v, dom, ran = monomial_node(rec.monomial()), Proj(rec.dom), Proj(rec.ran)
-        a1, a2 = Proj(w1.alpha), Proj(w2.alpha)
-        s1, s2 = ScalarLit(Scalar(1) / w1.scalar), ScalarLit(Scalar(1) / w2.scalar)
-        src1, src2 = from_polynomial(w1.source), from_polynomial(w2.source)
-        return Product((s1, v, dom, a1, src1, a1, dom, Adj(v), s2, ran, a2, src2, a2, ran))
-
     def to_text(self) -> str:
-        lines = ["prefixalg certificate v1", self.generator.to_line()]
-        lines.extend(self.witness1.to_lines())
-        lines.extend(self.witness2.to_lines())
-        lines.append(f"product {print_expr(self.product_expr)}")
-        lines.append(f"claim {poly_text(self.claim())}")
+        w1, w2, rec = self.witness1, self.witness2, self.generator
+        # Each source is printed once: its witness's source line and its
+        # product factor share the text.
+        text1, text2 = poly_text(w1.source), poly_text(w2.source)
+        block1, block2 = w1.to_lines(text1), w2.to_lines(text2)
+        src1, src2 = factor_text(w1.source, text1), factor_text(w2.source, text2)
+        v = format_monomial(rec.monomial())
+        dom, ran, a1, a2 = (f"P({format_tuple(t)})" for t in (rec.dom, rec.ran, w1.alpha, w2.alpha))
+        s1, s2 = (literal_text(Scalar(1) / w.scalar) for w in (w1, w2))
+        product = (s1, v, dom, a1, src1, a1, dom, v + "'", s2, ran, a2, src2, a2, ran)
+        lines = ["prefixalg certificate v1", rec.to_line(), *block1, *block2,
+                 "product " + " * ".join(product), f"claim {ran}"]
         return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from conftest import record_criterion
 
-from prefixalg.cylinders import SequenceDesc, properly_extends
+from prefixalg.cylinders import SequenceDesc, extends
 from prefixalg.expr import eval_expr
+from prefixalg.parser import parse_expr
 from prefixalg.monomials import (
     V,
     ZERO,
@@ -216,8 +217,8 @@ def test_criterion_4_registry_invariants():
                 rec = reg.link(rand_tuple(rng, 4), rand_tuple(rng, 4))
                 v = rec.monomial()
                 assert normal_form([v, projection(rec.dom), adjoint(v)]) == projection(rec.ran)
-                assert properly_extends(rec.dom, rec.requested[0])
-                assert properly_extends(rec.ran, rec.requested[1])
+                assert extends(rec.dom, rec.requested[0]) and rec.dom != rec.requested[0]
+                assert extends(rec.ran, rec.requested[1]) and rec.ran != rec.requested[1]
         assert audit_records(reg.records) == []
 
 
@@ -313,8 +314,9 @@ def test_criterion_6_primeness_pipeline():
 
 def test_primeness_chains_evaluate_to_their_claims():
     """The verifier evaluates no expression; here evaluation is the oracle.
-    For random witness pairs, drawn as in criterion 6, the derived chains
-    normalize to what they stand for, and the text reads back."""
+    For random witness pairs, drawn as in criterion 6, the derived chains,
+    read back from the printed certificate, normalize to what they stand
+    for, and the text reads back."""
     rng = random.Random("primeness-chains")
     reg = Registry()
     for _ in range(50):
@@ -328,10 +330,14 @@ def test_primeness_chains_evaluate_to_their_claims():
             if x is not None:
                 witnesses.append(ideal_projection_witness(reg, q, x))
         cert = primeness_witness(reg, *witnesses)
-        assert eval_expr(cert.product_expr) == cert.claim()
-        for w in witnesses:
-            assert eval_expr(w.certificate) == Polynomial.projection(w.alpha)
         text = cert.to_text()
+        lines = text.splitlines()
+        chains = [line.split(" ", 1)[1] for line in lines if line.startswith(("certificate ", "product "))]
+        assert [eval_expr(parse_expr(chain)) for chain in chains] == [
+            Polynomial.projection(witnesses[0].alpha),
+            Polynomial.projection(witnesses[1].alpha),
+            cert.claim(),
+        ]
         again = parse_certificate_text(text)
         assert again.to_text() == text and again == cert
 

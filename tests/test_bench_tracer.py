@@ -62,6 +62,6 @@ def test_tracer_sees_the_certificate_text_layers():
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(ops=1)
-    for layer in ("parser.parse_ms", "expr.eval_ms", "polynomials.product_ms"):
+    for layer in ("parser.parse_ms", "expr.eval_ms", "expr.print_ms", "polynomials.product_ms"):
         assert metrics[layer] > 0, layer
     assert metrics["monomials.multiply_calls"] >= 1

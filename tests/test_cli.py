@@ -447,7 +447,22 @@ def test_session_replay_error_names_file_line(tmp_path, capsys):
     text = "\n".join([header, first, tampered]) + "\n"
     assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 3 {mismatch}\n")
     text = "\n".join([header, first, "", tampered]) + "\n"
-    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 4 {mismatch}\n")
+    blank = "error: line 3: blank or comment line in the record block\n"
+    assert session_error(tmp_path, capsys, text) == (2, "", blank)
+
+
+def test_session_comment_line_is_refused_and_kept(tmp_path, capsys):
+    # A save writes records only, so loading a comment would silently drop it.
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "link", "(1)", "(2)")
+    header, record = session.read_text().splitlines()
+    text = "\n".join([header, "# a note", record]) + "\n"
+    session.write_text(text)
+    capsys.readouterr()
+    code, out = run("--session", str(session), "let", "q", "P((1))")
+    err = capsys.readouterr().err
+    assert (code, out, err) == (2, "", "error: line 2: blank or comment line in the record block\n")
+    assert session.read_text() == text
 
 
 def verify_edited(tmp_path, capsys, session, path, edit):

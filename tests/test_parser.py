@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -7,7 +8,8 @@ import pytest
 
 from prefixalg.cylinders import SequenceDesc
 from prefixalg.expr import (
-    Product, ScalarLit, Sum, eval_expr, from_polynomial, poly_text, print_expr,
+    Adj, Iso as IsoNode, Product, Proj, ScalarLit, Sum, eval_expr, factor_text, poly_text,
+    print_expr,
 )
 from prefixalg.monomials import V, adjoint
 from prefixalg.parser import ParseError, parse_expr, parse_word, token_position, tokenize
@@ -155,11 +157,87 @@ def test_poly_text_examples():
     assert poly_text(r) == "(1/2-3/4i) * P((1))"
 
 
+# -- the printer against the expression-tree reference --------------------------
+
+
+def reference_expr(p):
+    """The expression tree that `poly_text` used to print through, kept as
+    the oracle for it and for `factor_text`. Real coefficients become signed
+    rational factors, purely imaginary ones keep the sign on the imaginary
+    part, and general complex coefficients ride along as parenthesized
+    literals."""
+    if not p:
+        return ScalarLit(Scalar(0))
+    terms = []
+    for m, c in p.sorted_terms():
+        node = Proj(m.dom) if m.dom == m.ran else IsoNode(m.dom, m.ran)
+        if c.a and c.b:
+            terms.append((1, Product((ScalarLit(c), node))))
+            continue
+        sign = 1 if c.a > 0 or c.b > 0 else -1
+        mag = c if sign > 0 else -c
+        if mag == Scalar(1):
+            terms.append((sign, node))
+        else:
+            terms.append((sign, Product((ScalarLit(mag), node))))
+    if len(terms) == 1 and terms[0][0] > 0:
+        return terms[0][1]
+    return Sum(tuple(terms))
+
+
+def rand_coefficient(rng, kind):
+    num, den = rng.randint(1, 7), rng.randint(1, 5)
+    sign = rng.choice((1, -1))
+    if kind == "unit":
+        return Scalar(1)
+    if kind == "real":
+        return Scalar(Fraction(sign * num, den))
+    if kind == "imaginary":
+        return Scalar(0, Fraction(sign * num, den))
+    return Scalar(Fraction(sign * num, den), Fraction(rng.choice((1, -1)) * rng.randint(1, 7), den))
+
+
+def rand_monomial(rng):
+    n = rng.randint(0, 3)
+    dom = tuple(rng.randint(0, 9) for _ in range(n))
+    return V(dom, dom) if rng.random() < 0.4 else V(dom, tuple(rng.randint(0, 9) for _ in range(n)))
+
+
+KINDS = ("unit", "real", "imaginary", "complex")
+
+
+def test_poly_text_matches_the_expression_tree_printer():
+    rng = random.Random("poly-text-reference")
+    polys = [Polynomial.zero(), P(()), P((1,)).scale(-1), Iso((1,), (2,)).scale(Scalar(0, -1))]
+    for k in range(600):
+        p = Polynomial.zero()
+        for _ in range(1 if k % 3 else rng.randint(2, 5)):
+            p = p + Polynomial.of(rand_monomial(rng), rand_coefficient(rng, rng.choice(KINDS)))
+        polys.append(p)
+    shapes = Counter()
+    for p in polys:
+        ref, text = reference_expr(p), poly_text(p)
+        assert text == print_expr(ref)
+        assert evaluate(text) == p
+        # As the factors of a product, as the certificate line prints them.
+        pair = f"{factor_text(p, text, adjoint=True)} * {factor_text(p, text)}"
+        assert pair == print_expr(Product((Adj(ref), ref)))
+        if len(p.terms) == 1:
+            (c,) = p.terms.values()
+            kind = "unit" if c == Scalar(1) else KINDS[1 + bool(c.b) + bool(c.a and c.b)]
+            shapes[kind, text.startswith("-")] += 1
+        else:
+            shapes[min(len(p.terms), 2)] += 1
+    assert len(polys) >= 500
+    assert set(shapes) == {0, 2, ("unit", False), ("real", False), ("real", True),
+                           ("imaginary", False), ("imaginary", True), ("complex", False)}
+
+
 @given(st.lists(st.integers(0, 5), max_size=3).map(tuple), st.lists(st.integers(0, 5), max_size=3).map(tuple))
 def test_print_parse_expr_round_trip(a, b):
-    nodes = [from_polynomial(P(a)), from_polynomial(P(a) + P(b))]
+    nodes = [reference_expr(P(a)), reference_expr(P(a) + P(b))]
     if len(a) == len(b):
-        nodes.append(from_polynomial(Iso(a, b)))
+        nodes.append(reference_expr(Iso(a, b)))
     for node in nodes:
         text = print_expr(node)
         assert eval_expr(parse_expr(text)) == eval_expr(node)

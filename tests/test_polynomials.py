@@ -13,6 +13,7 @@ from prefixalg.polynomials import (
     FragmentMatrix,
     Polynomial,
     Scalar,
+    add_into,
     format_state,
     fragment_index,
     parse_state_text,
@@ -104,6 +105,17 @@ def test_adjoint_examples():
 def test_adjoint_involution(re, im, a, b):
     p = Polynomial.of(V((a,), (b,)), Scalar(Fraction(re), Fraction(im))) + P((a, b))
     assert p.adjoint().adjoint() == p
+
+
+def test_add_into_keeps_the_dict_canonical():
+    p = 2 * P((1,)) + Iso((1,), (2,))
+    res = dict(p.terms)
+    add_into(res, (2 * P((1,))).terms, negate=True)
+    assert res == Iso((1,), (2,)).terms
+    add_into(res, (P((3,)) + Iso((1,), (2,))).terms, negate=True)
+    assert res == P((3,)).scale(-1).terms
+    add_into(res, P((3,)).terms)
+    assert res == {}
 
 
 def test_ring_laws_random():

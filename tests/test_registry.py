@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from prefixalg import registry, witnesses
-from prefixalg.cylinders import SequenceDesc, properly_extends
+from prefixalg.cylinders import SequenceDesc, extends
 from prefixalg.monomials import V, adjoint, normal_form
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
 from prefixalg.registry import (
@@ -66,8 +66,8 @@ def test_link_conjugation_identity():
 def test_link_domination():
     reg = Registry()
     rec = reg.link((1, 4), (2,))
-    assert properly_extends(rec.dom, (1, 4))
-    assert properly_extends(rec.ran, (2,))
+    assert extends(rec.dom, (1, 4)) and rec.dom != (1, 4)
+    assert extends(rec.ran, (2,)) and rec.ran != (2,)
 
 
 def test_link_same_tuple_gives_projection():

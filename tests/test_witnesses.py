@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prefixalg.cylinders import SequenceDesc, extends, format_tuple, properly_extends
+from prefixalg.cylinders import SequenceDesc, extends, format_tuple
 from prefixalg.expr import eval_expr, poly_text
 from prefixalg.monomials import (
     V,
@@ -16,6 +16,7 @@ from prefixalg.monomials import (
     normal_form,
     projection,
 )
+from prefixalg.parser import parse_expr
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
 from prefixalg.registry import GeneratorRecord, ProtectionRecord, Registry, audit_records
 from prefixalg.witnesses import (
@@ -52,6 +53,13 @@ def one_point_state(prefix, tail=0):
     return DiagonalState([(SequenceDesc(prefix, tail), Fraction(1))])
 
 
+def printed(lines, key):
+    """The expression on the line starting `key`, read back through the
+    parser: the bytes that `verify` reads."""
+    line = next(line for line in lines if line.startswith(key + " "))
+    return eval_expr(parse_expr(line[len(key) + 1:]))
+
+
 # -- ideal projection witnesses ------------------------------------------------
 
 
@@ -61,7 +69,7 @@ def test_witness_from_projection():
     assert w.alpha == (1, 0)
     assert w.scalar == Scalar(Fraction(1))
     assert w.source == P((1,))
-    assert eval_expr(w.certificate) == P((1, 0))
+    assert printed(w.to_lines(), "certificate") == P((1, 0))
 
 
 def test_witness_from_isometry():
@@ -107,7 +115,7 @@ def test_witness_scalar_matches_point_value():
         w = ideal_projection_witness(reg, q, x)
         assert w.scalar == source.g_eval(x)
         assert w.source.compress(w.alpha) == P(w.alpha).scale(w.scalar)
-        assert eval_expr(w.certificate) == P(w.alpha)
+        assert printed(w.to_lines(), "certificate") == P(w.alpha)
 
 
 # -- primeness certificates ------------------------------------------------------
@@ -119,10 +127,10 @@ def test_primeness_certificate_end_to_end():
     w2 = ideal_projection_witness(reg, P((2,)), SequenceDesc((2,), 0))
     cert = primeness_witness(reg, w1, w2)
     rec = cert.generator
-    assert properly_extends(rec.dom, w1.alpha)
-    assert properly_extends(rec.ran, w2.alpha)
+    assert extends(rec.dom, w1.alpha) and rec.dom != w1.alpha
+    assert extends(rec.ran, w2.alpha) and rec.ran != w2.alpha
     assert extends(rec.ran, (2,))
-    assert eval_expr(cert.product_expr) == P(rec.ran)
+    assert printed(cert.to_text().splitlines(), "product") == P(rec.ran)
     assert audit_records(reg.records) == []
     assert verify_certificate(cert, reg)
 
@@ -131,7 +139,7 @@ def test_primeness_with_identical_witnesses():
     reg = Registry()
     w = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
     cert = primeness_witness(reg, w, w)
-    assert eval_expr(cert.product_expr) == P(cert.generator.ran)
+    assert printed(cert.to_text().splitlines(), "product") == P(cert.generator.ran)
     assert verify_certificate(cert, reg)
 
 
