@@ -60,7 +60,8 @@ class Sum(Frozen):
         object.__setattr__(self, "terms", terms)
 
 
-Expr = Union[ScalarLit, Proj, Iso, Adj, Product, Sum]
+# A Polynomial is a literal leaf: the parser returns one for canonical text.
+Expr = Union[ScalarLit, Proj, Iso, Adj, Product, Sum, Polynomial]
 
 
 def _leaf(m: V, c: Scalar) -> Polynomial:
@@ -70,6 +71,8 @@ def _leaf(m: V, c: Scalar) -> Polynomial:
 
 
 def eval_expr(e: Expr) -> Polynomial:
+    if isinstance(e, Polynomial):
+        return e
     if isinstance(e, ScalarLit):
         return _leaf(V((), ()), e.value) if e.value else Polynomial()
     if isinstance(e, Proj):
@@ -103,6 +106,8 @@ def eval_expr(e: Expr) -> Polynomial:
 
 
 def print_expr(e: Expr) -> str:
+    if isinstance(e, Polynomial):
+        return poly_text(e)
     if isinstance(e, ScalarLit):
         return literal_text(e.value)
     if isinstance(e, Proj):
@@ -115,27 +120,27 @@ def print_expr(e: Expr) -> str:
             return inner + "'"
         return f"({inner})'"
     if isinstance(e, Product):
-        parts = []
-        for f in e.factors:
-            text = print_expr(f)
-            if isinstance(f, Sum):
-                text = f"({text})"
-            parts.append(text)
-        return " * ".join(parts)
+        return " * ".join(_operand_text(f) for f in e.factors)
     if isinstance(e, Sum):
         if not e.terms:
             return "0"
         parts = []
         for i, (sign, term) in enumerate(e.terms):
-            text = print_expr(term)
-            if isinstance(term, Sum):
-                text = f"({text})"
+            text = _operand_text(term)
             if i == 0:
                 parts.append(text if sign > 0 else f"-{text}")
             else:
                 parts.append(f"+ {text}" if sign > 0 else f"- {text}")
         return " ".join(parts)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _operand_text(e: Expr) -> str:
+    """e printed as a factor of a product or a term of a sum."""
+    text = print_expr(e)
+    if isinstance(e, Polynomial):
+        return factor_text(e, text)
+    return f"({text})" if isinstance(e, Sum) else text
 
 
 def literal_text(s: Scalar) -> str:
@@ -188,7 +193,12 @@ def expr_to_word(e: Expr) -> list[Monomial]:
 
     Adjoints distribute (reversing order); sums and scalars are rejected,
     since a word is a product of projections and partial isometries only.
+    A polynomial leaf is a factor only as one monomial with coefficient 1.
     """
+    if isinstance(e, Polynomial) and len(e.terms) == 1:
+        ((m, c),) = e.terms.items()
+        if c == ONE:
+            return [m]
     if isinstance(e, Proj):
         return [V(e.tup, e.tup)]
     if isinstance(e, Iso):

@@ -16,15 +16,23 @@ multiplies, so `1/2 P((1))` is a scalar multiple of a projection.
 
 Tokens are plain strings. A token's line and column are worked out, by
 re-scanning the text, only for the error that names them.
+
+Text that is exactly `poly_text(p)` for a nonzero polynomial p is read in one
+pass by the canonical reader and parses to p itself; any other text goes to
+the recursive descent.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Optional
 
-from .expr import Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, expr_to_word
-from .monomials import Monomial
-from .polynomials import Scalar
+from .expr import (
+    Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, _negative, eval_expr, expr_to_word, literal_text,
+    poly_text,
+)
+from .monomials import V, Monomial
+from .polynomials import ONE, Polynomial, Scalar
 
 
 class ParseError(ValueError):
@@ -216,13 +224,106 @@ class _Parser:
         return tuple(entries)
 
 
+# -- the canonical reader ------------------------------------------------------
+
+_RATIO = r"[0-9]+(?:/[0-9]+)?"
+_TUPLE = r"(\((?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?\))"
+# One printed term: its sign (none or "-" first, " + " or " - " after), an
+# optional coefficient literal and " * ", then P(t) or V(t;u). The literal is
+# a positive real, a positive imaginary (its magnitude left out for 1) or a
+# parenthesized general complex number (real part, sign, imaginary magnitude).
+_TERM = re.compile(
+    rf"( [+-] |-?)(?:(({_RATIO})|({_RATIO}|)i|\((-?{_RATIO})([+-])({_RATIO}|)i\)) \* )?"
+    rf"(?:P\({_TUPLE}\)|V\({_TUPLE};{_TUPLE}\))"
+)
+
+
+def _labels(text: str) -> tuple[int, ...]:
+    """The labels of a tuple literal such as "(1,2)"."""
+    return tuple(map(int, text[1:-1].split(","))) if len(text) > 2 else ()
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """A literal "n" or "n/d" as its numerator and denominator."""
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1
+
+
+def _read_canonical(text: str) -> Optional[Polynomial]:
+    """The polynomial p with `poly_text(p) == text`, or None when text is not
+    such a print (zero's "0" included). Checks, term by term, everything the
+    printer decides: exact separators, labels without leading zeros, terms
+    strictly ascending in `sorted_terms()` order, V only with dom != ran, a
+    coefficient literal exactly as `literal_text` prints it, a coefficient of
+    1 left out, and the sign where `expr._negative` puts it."""
+    terms: dict[V, Scalar] = {}
+    pos, end, last = 0, len(text), None
+    try:
+        while pos < end or last is None:
+            match = _TERM.match(text, pos)
+            if match is None:
+                return None
+            sign, lit, real, imag, cre, csign, cim, p, dom, ran = match.groups()
+            if (last is None) != (len(sign) < 2):  # " + " and " - " only between terms
+                return None
+            if p is not None:
+                dom = ran = _labels(p)
+            else:
+                dom, ran = _labels(dom), _labels(ran)
+                if dom == ran or len(dom) != len(ran):
+                    return None
+            key = (len(dom), dom, ran)
+            if last is not None and key <= last:
+                return None
+            if lit is None:
+                c = ONE
+            else:
+                if real is not None:
+                    (a, d), (b, e) = _ratio(real), (0, 1)
+                elif imag is not None:
+                    (a, d), (b, e) = (0, 1), _ratio(imag or "1")
+                else:
+                    (a, d), (b, e) = _ratio(cre), _ratio(csign + (cim or "1"))
+                if not d or not e:
+                    return None
+                c = Scalar.ratio(a * e, b * d, d * e)
+                if not c or c == ONE or literal_text(c) != lit:
+                    return None
+            if "-" in sign:
+                c = -c
+                if not _negative(c):
+                    return None
+            terms[V(dom, ran)] = c
+            pos, last = match.end(), key
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    out = Polynomial()
+    out.terms = terms
+    return out
+
+
 def parse_expr(text: str) -> Expr:
+    """The expression tree of text; canonical polynomial text parses to its
+    Polynomial."""
+    poly = _read_canonical(text)
+    if poly is not None:
+        return poly
     parser = _Parser(text)
     node = parser.expr()
     tok = parser.peek()
     if tok:
         raise parser.error(f"trailing input starting at {tok!r}")
     return node
+
+
+def read_polynomial(text: str) -> tuple[Polynomial, str]:
+    """The polynomial text holds, and its canonical text: text itself when
+    the canonical reader took it, so read-back prints nothing; else its print."""
+    node = parse_expr(text)
+    if isinstance(node, Polynomial):
+        return node, text
+    p = eval_expr(node)
+    return p, poly_text(p)
 
 
 def parse_word(text: str) -> list[Monomial]:

@@ -9,6 +9,7 @@ is an algebraic identity, so there are no tolerances anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as _gcd, lcm
 from typing import Iterable, Optional, Union
 
@@ -276,9 +277,15 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
+            # V(a,b) * V(c,d) is zero unless a and d agree on their common
+            # prefix, so a left term with nonempty a meets only the right
+            # terms whose d starts with a[0], plus those with empty d.
+            right = [(m.ran, m, c) for m, c in other.terms.items()]
+            by_first, everywhere = _by_first_label(right)
             res: dict[V, Scalar] = {}
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
+                a = m1.dom
+                for _, m2, c2 in chain(by_first.get(a[0], ()), everywhere) if a else right:
                     m = multiply(m1, m2)
                     if m is ZERO:
                         continue

@@ -12,9 +12,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .cylinders import Value
-from .expr import eval_expr, poly_text
+from .expr import poly_text
 from .polynomials import Polynomial
 from .registry import Registry, RegistryError, check_reads_back
+from .parser import read_polynomial
 from .witnesses import IdealWitness, VanishingTrace, parse_trace_lines, parse_witness_block
 
 HEADER = "prefixalg session v1"
@@ -66,12 +67,13 @@ class Session(Value):
         while i < len(lines):
             line = lines[i].strip()
             if not line:
-                i += 1
-                continue
+                # A save writes none, so it would drop this line.
+                raise RegistryError(f"line {i + 1}: blank line between bindings")
             parts = line.split(" ")
             if len(parts) != 3 or parts[0] != "binding":
                 raise RegistryError(f"malformed binding header {line!r}")
             _, name, kind = parts
+            check_reads_back(lines[i:i + 1], [line], i + 1)
             i += 1
             start = i
             while i < len(lines) and lines[i].strip() != "end binding":
@@ -79,6 +81,7 @@ class Session(Value):
             if i >= len(lines):
                 raise RegistryError(f"unterminated binding {name!r}")
             session.bind(name, _parse_binding(kind, lines, start, i))
+            check_reads_back(lines[i:i + 1], ["end binding"], i + 1)
             i += 1
         return session
 
@@ -101,14 +104,12 @@ def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding
     """The binding held by lines[start:end] of a file's lines; errors name
     the file line. A binding must be exactly what it prints, so that a save
     never rewrites it."""
-    from .parser import parse_expr
-
     if kind == "polynomial":
-        value: Binding = eval_expr(parse_expr("\n".join(lines[start:end])))
-        canonical = [poly_text(value)]
+        value, text = read_polynomial("\n".join(lines[start:end]))
+        canonical = [text]
     elif kind == "witness":
-        value = parse_witness_block(lines[start:end], start + 1)
-        canonical = value.to_lines()
+        value, texts = parse_witness_block(lines[start:end], start + 1)
+        canonical = value.block(*texts)
     elif kind == "trace":
         value = parse_trace_lines(lines[start:end], start + 1)
         canonical = value.to_lines()

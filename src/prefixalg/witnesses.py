@@ -44,7 +44,7 @@ from .monomials import (
     multiply,
     normal_form,
 )
-from .parser import parse_expr, parse_word
+from .parser import parse_expr, parse_word, read_polynomial
 from .polynomials import DiagonalState, Polynomial, Scalar
 from .registry import (
     GeneratorRecord,
@@ -93,12 +93,12 @@ class IdealWitness(Value):
         self.scalar = scalar
         self.root = root
 
-    def to_lines(self, source: Optional[str] = None) -> list[str]:
-        """The witness block; `source`, if given, is `poly_text(self.source)`
-        printed already."""
-        root, alpha = poly_text(self.root), format_tuple(self.alpha)
-        if source is None:
-            source = poly_text(self.source)
+    def to_lines(self) -> list[str]:
+        return self.block(poly_text(self.root), poly_text(self.source))
+
+    def block(self, root: str, source: str) -> list[str]:
+        """The witness block, given the canonical texts of root and source."""
+        alpha = format_tuple(self.alpha)
         certificate = [literal_text(Scalar(1) / self.scalar), f"P({alpha})",
                        factor_text(self.root, root, adjoint=True), factor_text(self.root, root), f"P({alpha})"]
         return [
@@ -168,19 +168,23 @@ class PrimenessCertificate(Value):
         return Polynomial.projection(self.generator.ran)
 
     def to_text(self) -> str:
+        w1, w2 = self.witness1, self.witness2
+        texts = [poly_text(p) for p in (w1.root, w1.source, w2.root, w2.source)]
+        return "\n".join(self.lines(*texts)) + "\n"
+
+    def lines(self, root1: str, source1: str, root2: str, source2: str) -> list[str]:
+        """The certificate's lines, given the canonical texts of each
+        witness's root and source; each source text also makes its product
+        factor."""
         w1, w2, rec = self.witness1, self.witness2, self.generator
-        # Each source is printed once: its witness's source line and its
-        # product factor share the text.
-        text1, text2 = poly_text(w1.source), poly_text(w2.source)
-        block1, block2 = w1.to_lines(text1), w2.to_lines(text2)
-        src1, src2 = factor_text(w1.source, text1), factor_text(w2.source, text2)
+        block1, block2 = w1.block(root1, source1), w2.block(root2, source2)
+        src1, src2 = factor_text(w1.source, source1), factor_text(w2.source, source2)
         v = format_monomial(rec.monomial())
         dom, ran, a1, a2 = (f"P({format_tuple(t)})" for t in (rec.dom, rec.ran, w1.alpha, w2.alpha))
         s1, s2 = (literal_text(Scalar(1) / w.scalar) for w in (w1, w2))
         product = (s1, v, dom, a1, src1, a1, dom, v + "'", s2, ran, a2, src2, a2, ran)
-        lines = ["prefixalg certificate v1", rec.to_line(), *block1, *block2,
-                 "product " + " * ".join(product), f"claim {ran}"]
-        return "\n".join(lines) + "\n"
+        return ["prefixalg certificate v1", rec.to_line(), *block1, *block2,
+                "product " + " * ".join(product), f"claim {ran}"]
 
 
 def primeness_witness(
@@ -465,12 +469,8 @@ class VerifyReport(Value):
         return self.ok
 
 
-def _parse_poly(text: str) -> Polynomial:
-    return eval_expr(parse_expr(text))
-
-
 def _parse_scalar(text: str) -> Scalar:
-    p = _parse_poly(text)
+    p = eval_expr(parse_expr(text))
     if not p:
         return Scalar(0)
     terms = dict(p.terms)
@@ -484,10 +484,11 @@ WITNESS_KEYS = ("witness", "alpha", "scalar", "root", "source")
 WITNESS_LINES = len(WITNESS_KEYS) + 2  # the derived certificate line and "end witness"
 
 
-def parse_witness_block(lines: list[str], first_line: int) -> IdealWitness:
+def parse_witness_block(lines: list[str], first_line: int) -> tuple[IdealWitness, tuple[str, str]]:
     """The witness whose block opens `lines`, read from its first five lines
-    by position; the rest of the block is derived, for the caller to read
-    back. Errors name lines[k] as line first_line + k."""
+    by position, and the canonical texts of its root and source; the rest of
+    the block is derived, for the caller to read back. Errors name lines[k]
+    as line first_line + k."""
     values = []
     for k, key in enumerate(WITNESS_KEYS):
         word, _, value = lines[k].partition(" ") if k < len(lines) else ("", "", "")
@@ -497,12 +498,11 @@ def parse_witness_block(lines: list[str], first_line: int) -> IdealWitness:
     scalar = _parse_scalar(values[2])
     if not scalar:
         raise ValueError(f"line {first_line + 2}: zero compression scalar")
-    return IdealWitness(
-        alpha=parse_tuple_text(values[1]),
-        scalar=scalar,
-        root=_parse_poly(values[3]),
-        source=_parse_poly(values[4]),
-    )
+    alpha = parse_tuple_text(values[1])
+    root, root_text = read_polynomial(values[3])
+    source, source_text = read_polynomial(values[4])
+    witness = IdealWitness(alpha=alpha, scalar=scalar, root=root, source=source)
+    return witness, (root_text, source_text)
 
 
 def parse_certificate_text(text: str) -> PrimenessCertificate:
@@ -515,12 +515,10 @@ def parse_certificate_text(text: str) -> PrimenessCertificate:
     fields = parse_record_line(lines[1] if len(lines) > 1 else "", 2)
     if fields["_kind"] != "generator":
         raise ValueError("certificate is missing its generator record")
-    cert = PrimenessCertificate(
-        witness1=parse_witness_block(lines[2:], 3),
-        witness2=parse_witness_block(lines[2 + WITNESS_LINES:], 3 + WITNESS_LINES),
-        generator=record_from_fields(fields, 2),
-    )
-    check_reads_back(lines, cert.to_text().splitlines())
+    witness1, texts1 = parse_witness_block(lines[2:], 3)
+    witness2, texts2 = parse_witness_block(lines[2 + WITNESS_LINES:], 3 + WITNESS_LINES)
+    cert = PrimenessCertificate(witness1, witness2, record_from_fields(fields, 2))
+    check_reads_back(lines, cert.lines(*texts1, *texts2))
     return cert
 
 

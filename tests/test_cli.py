@@ -465,6 +465,35 @@ def test_session_comment_line_is_refused_and_kept(tmp_path, capsys):
     assert session.read_text() == text
 
 
+def test_session_binding_block_lines_are_refused_and_kept(tmp_path, capsys):
+    # A save writes neither blank lines nor padded binding lines, so loading
+    # either would silently drop it.
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "link", "(1)", "(2)")
+    run("--session", str(session), "let", "q", "P((1))")
+    run("--session", str(session), "let", "r", "P((2))")
+    text = session.read_text()
+    assert text.splitlines()[2:] == ["binding q polynomial", "P((1))", "end binding",
+                                     "binding r polynomial", "P((2))", "end binding"]
+    edits = [
+        (text.replace("end binding\nbinding r", "end binding\n\nbinding r"),
+         "error: line 6: blank line between bindings\n"),
+        (text + "\n", "error: line 9: blank line between bindings\n"),
+        (text.replace("binding q polynomial", "binding q polynomial "),
+         "error: line 3 does not read back exactly (expected 'binding q polynomial')\n"),
+        (text.replace("binding r polynomial", " binding r polynomial"),
+         "error: line 6 does not read back exactly (expected 'binding r polynomial')\n"),
+        (text.replace("end binding\nbinding r", "end binding  \nbinding r"),
+         "error: line 5 does not read back exactly (expected 'end binding')\n"),
+    ]
+    for edited, error in edits:
+        session.write_text(edited)
+        capsys.readouterr()
+        code, out = run("--session", str(session), "let", "z", "P((5))")
+        assert (code, out, capsys.readouterr().err) == (2, "", error)
+        assert session.read_text() == edited
+
+
 def verify_edited(tmp_path, capsys, session, path, edit):
     """Exit code, stdout and stderr of `verify` on a copy of a file whose
     lines `edit` changed in place."""

@@ -12,10 +12,11 @@ from prefixalg.expr import (
     print_expr,
 )
 from prefixalg.monomials import V, adjoint
-from prefixalg.parser import ParseError, parse_expr, parse_word, token_position, tokenize
+from prefixalg.parser import ParseError, _Parser, parse_expr, parse_word, token_position, tokenize
 from prefixalg.polynomials import Polynomial, Scalar
 from prefixalg.registry import Registry
-from prefixalg.witnesses import ideal_projection_witness, primeness_witness
+from prefixalg import expr, parser as parser_module, witnesses
+from prefixalg.witnesses import ideal_projection_witness, primeness_witness, verify_certificate_text
 
 P = Polynomial.projection
 Iso = Polynomial.isometry
@@ -118,6 +119,13 @@ def test_parse_word():
         parse_word("P((1)) + P((2))")
     with pytest.raises(ValueError):
         parse_word("2 P((1))")
+    # Canonical text parses to a Polynomial: a word factor only as one
+    # monomial with coefficient 1.
+    assert parse_word("P(())") == [V((), ())]
+    for text in ("2 * P((1))", "-P((1))", "i * V((1);(2))", "P((1)) + P((2))"):
+        assert isinstance(parse_expr(text), Polynomial)
+        with pytest.raises(ValueError, match="a word must be a product"):
+            parse_word(text)
 
 
 def rand_polynomial(rng):
@@ -219,6 +227,8 @@ def test_poly_text_matches_the_expression_tree_printer():
         ref, text = reference_expr(p), poly_text(p)
         assert text == print_expr(ref)
         assert evaluate(text) == p
+        # The canonical reader takes every nonzero print, to the polynomial itself.
+        assert isinstance(parse_expr(text), Polynomial if p else ScalarLit)
         # As the factors of a product, as the certificate line prints them.
         pair = f"{factor_text(p, text, adjoint=True)} * {factor_text(p, text)}"
         assert pair == print_expr(Product((Adj(ref), ref)))
@@ -241,6 +251,122 @@ def test_print_parse_expr_round_trip(a, b):
     for node in nodes:
         text = print_expr(node)
         assert eval_expr(parse_expr(text)) == eval_expr(node)
+
+
+# -- the canonical reader against parse, print, compare ------------------------
+
+
+def descent(text):
+    """The recursive-descent tree of text, bypassing the canonical reader;
+    None when the text does not parse."""
+    parser = _Parser(text)
+    try:
+        node = parser.expr()
+    except ParseError:
+        return None
+    return None if parser.peek() else node
+
+
+BIG = 10**30
+big_parts = st.integers(-BIG, BIG)
+tuples = st.lists(st.integers(0, 12), max_size=3).map(tuple)
+
+
+@st.composite
+def big_terms(draw):
+    dom = draw(tuples)
+    ran = dom if draw(st.booleans()) else tuple(draw(st.integers(0, 12)) for _ in dom)
+    a, b = draw(big_parts), draw(big_parts)
+    kind = draw(st.sampled_from(KINDS[1:]))
+    if kind == "real":
+        b = 0
+    elif kind == "imaginary":
+        a = 0
+    return V(dom, ran), Scalar.ratio(a, b, draw(st.integers(1, BIG)))
+
+
+@given(st.lists(big_terms(), min_size=1, max_size=5))
+def test_canonical_reader_round_trip(terms):
+    p = Polynomial()
+    for m, c in terms:
+        p = p + Polynomial.of(m, c)
+    text = poly_text(p)
+    node = parse_expr(text)
+    if p:
+        assert isinstance(node, Polynomial) and node == p
+    else:
+        assert isinstance(node, ScalarLit)
+
+
+EDITS = " 0123456789()+-*/;,iPV'"
+
+
+def edit(rng, text):
+    """One or two characters inserted, replaced or deleted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.4 or at == len(chars):
+            chars.insert(at, rng.choice(EDITS))
+        elif roll < 0.7:
+            chars[at] = rng.choice(EDITS)
+        else:
+            del chars[at]
+    return "".join(chars)
+
+
+def test_canonical_reader_equals_parse_print_compare_on_edited_texts():
+    rng = random.Random("canonical-edits")
+    texts = [poly_text(p) for p in (P(()), P((1,)).scale(Scalar(0, -1)),
+                                    P((1,)).scale(Scalar(BIG, -BIG)))]
+    for _ in range(400):
+        p = Polynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            p = p + Polynomial.of(rand_monomial(rng), rand_coefficient(rng, rng.choice(KINDS)))
+        texts.append(poly_text(p))
+    for fields in certificate_expressions(rng, 10):
+        texts.extend(fields)
+    edited = {edit(rng, rng.choice(texts)) for _ in range(6000)}
+    accepted = refused = 0
+    for text in texts + sorted(edited - set(texts)):
+        tree = descent(text)
+        if tree is None:
+            with pytest.raises(ParseError):
+                parse_expr(text)
+            continue
+        node, reference = parse_expr(text), eval_expr(tree)
+        if isinstance(node, Polynomial):
+            # Read in one pass: the text is exactly the print of its value.
+            accepted += 1
+            assert poly_text(node) == text
+            assert node == reference
+        else:
+            assert not (reference and poly_text(reference) == text), text
+            refused += 1
+    # Hundreds of the edits are prints of their values too.
+    assert accepted > len(texts) + 200 and refused > 500
+
+
+def test_verify_prints_no_polynomial_of_a_canonical_certificate(monkeypatch):
+    reg = Registry()
+    q1 = Iso((1,), (2,)) + P((1, 3)).scale(Scalar(Fraction(1, 2), -3))
+    w1 = ideal_projection_witness(reg, q1, SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, P((2,)).scale(Scalar(0, -2)), SequenceDesc((2,), 0))
+    text = primeness_witness(reg, w1, w2).to_text()
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return poly_text(p)
+
+    for module in (expr, parser_module, witnesses):
+        monkeypatch.setattr(module, "poly_text", counted)
+    assert verify_certificate_text(text, reg).ok
+    assert calls == []
+    # A field that is equal but not canonical is printed to be refused.
+    assert not verify_certificate_text(text.replace("root V((1);(2)) + ", "root V((1);(2))  + "), reg)
+    assert len(calls) == 1
 
 
 # -- tokenizer positions against the character-loop reference ------------------

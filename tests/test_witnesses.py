@@ -168,6 +168,36 @@ def test_certificate_text_round_trip_and_tampering():
     assert not verify_certificate_text(tampered, reg)
 
 
+def test_equal_but_not_canonical_fields_are_refused():
+    # Each edited field parses to the value it replaces, or nearly, but is
+    # not its print, so the certificate does not read back.
+    reg = Registry()
+    w1 = ideal_projection_witness(reg, Iso((1,), (2,)) + P((1, 3)), SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, P((2,)).scale(Scalar(Fraction(1, 2))), SequenceDesc((2,), 0))
+    lines = primeness_witness(reg, w1, w2).to_text().splitlines()
+    assert lines[5:7] == ["root V((1);(2)) + P((1,3))", "source P((1)) + P((1,3))"]
+    assert lines[12:14] == ["root 1/2 * P((2))", "source 1/4 * P((2))"]
+    root1 = "malformed certificate: line 6 does not read back exactly (expected 'root V((1);(2)) + P((1,3))')"
+    edits = [
+        (5, "root P((1,3)) + V((1);(2))", root1),
+        (5, "root 1 * V((1);(2)) + P((1,3))", root1),
+        (5, "root V((1);(2))  + P((1,3))", root1),
+        (5, "root V((01);(2)) + P((1,3))", root1),
+        (6, "source P((1,3)) + P((1))",
+         "malformed certificate: line 7 does not read back exactly (expected 'source P((1)) + P((1,3))')"),
+        (12, "root 2/4 * P((2))",
+         "malformed certificate: line 13 does not read back exactly (expected 'root 1/2 * P((2))')"),
+        (13, "source 1/4*P((2))",
+         "malformed certificate: line 14 does not read back exactly (expected 'source 1/4 * P((2))')"),
+        (13, "source 1/4 * P((2)) + 1 * P((3))",
+         "malformed certificate: line 14 does not read back exactly "
+         "(expected 'source 1/4 * P((2)) + P((3))')"),
+    ]
+    for k, line, message in edits:
+        edited = lines[:k] + [line] + lines[k + 1:]
+        assert verify_certificate_text("\n".join(edited) + "\n", reg).problems == [message]
+
+
 def test_certificate_against_wrong_registry():
     reg = Registry()
     w1 = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
