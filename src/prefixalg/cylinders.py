@@ -9,6 +9,7 @@ equality is decidable. Coordinates are 1-indexed throughout.
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Optional
 
 Label = int
 Tup = tuple[int, ...]
@@ -119,6 +120,33 @@ def format_tuple(t: Tup) -> str:
 
 def format_seqdesc(x: SequenceDesc) -> str:
     return f"{format_tuple(x.prefix)}/{x.tail}"
+
+
+def read_natural(text: str) -> Optional[int]:
+    """The natural number n with `str(n) == text`, or None: ASCII digits
+    without a leading zero, no more of them than `int` converts."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1):
+        try:
+            return int(text)
+        except ValueError:
+            return None
+    return None
+
+
+def read_tuple(text: str) -> Optional[Tup]:
+    """The tuple t with `format_tuple(t) == text`, or None. Every one-pass
+    reader of printed text holds a tuple to this rule."""
+    if text[:1] != "(" or text[-1:] != ")":
+        return None
+    if len(text) == 2:
+        return ()
+    labels = []
+    for piece in text[1:-1].split(","):
+        label = read_natural(piece)
+        if label is None:
+            return None
+        labels.append(label)
+    return tuple(labels)
 
 
 def parse_natural(text: str) -> int:

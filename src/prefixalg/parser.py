@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+from .cylinders import read_tuple
 from .expr import (
     Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, _negative, eval_expr, expr_to_word, literal_text,
     poly_text,
@@ -227,7 +228,8 @@ class _Parser:
 # -- the canonical reader ------------------------------------------------------
 
 _RATIO = r"[0-9]+(?:/[0-9]+)?"
-_TUPLE = r"(\((?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?\))"
+# The characters of a tuple; `read_tuple` decides whether it is canonical.
+_TUPLE = r"(\([0-9,]*\))"
 # One printed term: its sign (none or "-" first, " + " or " - " after), an
 # optional coefficient literal and " * ", then P(t) or V(t;u). The literal is
 # a positive real, a positive imaginary (its magnitude left out for 1) or a
@@ -236,11 +238,6 @@ _TERM = re.compile(
     rf"( [+-] |-?)(?:(({_RATIO})|({_RATIO}|)i|\((-?{_RATIO})([+-])({_RATIO}|)i\)) \* )?"
     rf"(?:P\({_TUPLE}\)|V\({_TUPLE};{_TUPLE}\))"
 )
-
-
-def _labels(text: str) -> tuple[int, ...]:
-    """The labels of a tuple literal such as "(1,2)"."""
-    return tuple(map(int, text[1:-1].split(","))) if len(text) > 2 else ()
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -267,10 +264,12 @@ def _read_canonical(text: str) -> Optional[Polynomial]:
             if (last is None) != (len(sign) < 2):  # " + " and " - " only between terms
                 return None
             if p is not None:
-                dom = ran = _labels(p)
+                dom = ran = read_tuple(p)
+                if dom is None:
+                    return None
             else:
-                dom, ran = _labels(dom), _labels(ran)
-                if dom == ran or len(dom) != len(ran):
+                dom, ran = read_tuple(dom), read_tuple(ran)
+                if dom is None or ran is None or dom == ran or len(dom) != len(ran):
                     return None
             key = (len(dom), dom, ran)
             if last is not None and key <= last:

@@ -686,6 +686,11 @@ class DiagonalState:
             total = total + p.g_eval(x) * w
         return total
 
+    def mass(self, t: Tup) -> Scalar:
+        """The weight of the points in the cylinder of t: exactly
+        `evaluate(Polynomial.projection(t))`."""
+        return Scalar.of(sum(w for x, w in self.points if member(x, t)))
+
     def support_set(self, max_len: int) -> list[Tup]:
         """All tuples of length 1..max_len whose cylinder carries mass.
 
@@ -696,8 +701,8 @@ class DiagonalState:
             raise ValueError("max_len must be at least 1")
         out: set[Tup] = set()
         for x, _ in self.points:
-            for n in range(1, max_len + 1):
-                out.add(x.head(n))
+            head = x.head(max_len)
+            out.update(head[:n] for n in range(1, max_len + 1))
         return sorted(out, key=lambda t: (len(t), t))
 
     def __eq__(self, other: object) -> bool:

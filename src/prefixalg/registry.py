@@ -23,7 +23,7 @@ from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text
+from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text, read_tuple
 from .monomials import V
 from .polynomials import DiagonalState, format_state, parse_state_text
 
@@ -283,10 +283,10 @@ class Registry:
         """
         if prot.stage >= len(self.records) or self.records[prot.stage] != prot:
             raise ValueError("protection record does not belong to this registry")
-        index = self.labels()
+        used, stage = self.labels().used.get(1, {}), prot.stage
         blocked = {c[0] for c in prot.tuples}
         label = 0
-        while label in blocked or index.first_use(1, label) <= prot.stage:
+        while label in blocked or used.get(label, math.inf) <= stage:
             label += 1
         return (label,)
 
@@ -302,36 +302,58 @@ class Registry:
         return "".join(rec.to_line() + "\n" for rec in self.records)
 
     @staticmethod
-    def from_text(text: str, first_line: int = 1) -> "Registry":
+    def from_text(text: str) -> "Registry":
+        """The registry whose `to_text()` is text; see `from_lines`."""
+        return Registry.from_lines(text.splitlines())
+
+    @staticmethod
+    def from_lines(lines: list[str], first_line: int = 1) -> "Registry":
         """Rebuild a registry by replaying the recorded requests.
 
         Only the requested pair of a generator line is read; `link` issues
-        the generator again. A protection line is read whole and judged by
+        the generator again. A line with the generator's fields in print
+        order and canonical requested tuples is read by position, any other
+        line field by field. A protection line is read whole and judged by
         `record_problem`. Every line must be a record line, exactly what its
         record prints, so a blank or comment line, an edited derived field,
         or a file written by different code, is refused. Errors name the
-        line, counting the text's first line as `first_line`.
+        line, counting the first given line as `first_line`.
         """
         reg = Registry()
-        for lineno, raw in enumerate(text.splitlines(), start=first_line):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                # A save writes only records, so it would drop such a line.
-                raise RegistryError(f"line {lineno}: blank or comment line in the record block")
-            fields = parse_record_line(line, lineno)
-            if fields["_kind"] == "generator":
-                field = partial(take_field, fields, lineno)
-                rec: Record = reg.link(
-                    field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)
-                )
-            else:
-                rec = record_from_fields(fields, lineno)
-                problem = record_problem(None, len(reg.records), rec)
-                if problem:
-                    raise RegistryError(f"line {lineno}: {problem}")
-                reg.records.append(rec)
+        for lineno, raw in enumerate(lines, start=first_line):
+            requested = _printed_request(raw)
+            if requested is None:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    # A save writes only records, so it would drop such a line.
+                    raise RegistryError(f"line {lineno}: blank or comment line in the record block")
+                fields = parse_record_line(line, lineno)
+                if fields["_kind"] == "generator":
+                    field = partial(take_field, fields, lineno)
+                    requested = field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)
+                else:
+                    rec: Record = record_from_fields(fields, lineno)
+                    problem = record_problem(None, len(reg.records), rec)
+                    if problem:
+                        raise RegistryError(f"line {lineno}: {problem}")
+                    reg.records.append(rec)
+            if requested is not None:
+                rec = reg.link(*requested)
             check_reads_back([raw], [rec.to_line()], lineno)
         return reg
+
+
+_GENERATOR_KEYS = ("stage=", "req_dom=", "req_ran=", "n=", "fresh=", "dom=", "ran=")
+
+
+def _printed_request(line: str) -> Optional[tuple[Tup, Tup]]:
+    """The requested pair of a line with the generator line's fields in
+    print order and canonical requested tuples; None for any other line."""
+    values = record_values(line, "generator", _GENERATOR_KEYS)
+    if values is None:
+        return None
+    req_dom, req_ran = read_tuple(values[1]), read_tuple(values[2])
+    return None if req_dom is None or req_ran is None else (req_dom, req_ran)
 
 
 def audit_records(records: Sequence[Record]) -> list[str]:
@@ -438,6 +460,18 @@ def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1
 def _parse_tuples(text: str) -> tuple[Tup, ...]:
     """`(1)|(1,2)` as a tuple of tuples; the empty text holds none."""
     return tuple([parse_tuple_text(t) for t in text.split("|")]) if text else ()
+
+
+def record_values(line: str, kind: str, keys: tuple[str, ...]) -> Optional[list[str]]:
+    """The values of a line `kind k1=v1 k2=v2 ...` whose fields begin with
+    exactly these keys, "=" included, in this order, each after one space;
+    None for any other line. The values are taken as written."""
+    words = line.split(" ")
+    if words[0] != kind or len(words) != len(keys) + 1:
+        return None
+    if not all(map(str.startswith, words[1:], keys)):
+        return None
+    return [word[len(key):] for word, key in zip(words[1:], keys)]
 
 
 def parse_record_line(line: str, lineno: int) -> dict[str, str]:

@@ -16,7 +16,7 @@ from .expr import poly_text
 from .polynomials import Polynomial
 from .registry import Registry, RegistryError, check_reads_back
 from .parser import read_polynomial
-from .witnesses import IdealWitness, VanishingTrace, parse_trace_lines, parse_witness_block
+from .witnesses import IdealWitness, VanishingTrace, parse_witness_block, read_trace_lines
 
 HEADER = "prefixalg session v1"
 
@@ -60,10 +60,12 @@ class Session(Value):
         lines = text.splitlines()
         if not lines or lines[0].strip() != HEADER:
             raise RegistryError("not a session file (bad header)")
+        check_reads_back(lines[:1], [HEADER])
+        _check_line_breaks(text, lines)
         i = 1
         while i < len(lines) and not lines[i].startswith("binding "):
             i += 1
-        session = Session(registry=Registry.from_text("\n".join(lines[1:i]), first_line=2))
+        session = Session(registry=Registry.from_lines(lines[1:i], first_line=2))
         while i < len(lines):
             line = lines[i].strip()
             if not line:
@@ -90,7 +92,8 @@ class Session(Value):
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Session":
-        return Session.from_text(Path(path).read_text(encoding="utf-8"))
+        # Decoded from bytes: text mode would turn "\r\n" into "\n" unseen.
+        return Session.from_text(Path(path).read_bytes().decode("utf-8"))
 
     @staticmethod
     def load_or_new(path: Union[str, Path]) -> "Session":
@@ -98,6 +101,18 @@ class Session(Value):
         if p.exists():
             return Session.load(p)
         return Session()
+
+
+def _check_line_breaks(text: str, lines: list[str]) -> None:
+    """Refuse a text whose lines do not each end in one newline, naming the
+    first line that does not: a save would rewrite its line break."""
+    if "\n".join(lines) + "\n" == text:
+        return
+    for lineno, (kept, line) in enumerate(zip(text.splitlines(keepends=True), lines), start=1):
+        end = kept[len(line):]
+        if end != "\n":
+            what = f"ends in {end!r}, not a newline" if end else "does not end in a newline"
+            raise RegistryError(f"line {lineno} {what}")
 
 
 def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding:
@@ -111,8 +126,7 @@ def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding
         value, texts = parse_witness_block(lines[start:end], start + 1)
         canonical = value.block(*texts)
     elif kind == "trace":
-        value = parse_trace_lines(lines[start:end], start + 1)
-        canonical = value.to_lines()
+        value, canonical = read_trace_lines(lines[start:end], start + 1)
     else:
         raise RegistryError(f"unknown binding kind {kind!r}")
     check_reads_back(lines[start:end], canonical, start + 1)

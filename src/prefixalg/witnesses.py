@@ -33,6 +33,8 @@ from .cylinders import (
     format_tuple,
     parse_natural,
     parse_tuple_text,
+    read_natural,
+    read_tuple,
 )
 from .expr import eval_expr, factor_text, literal_text, poly_text
 from .monomials import (
@@ -48,12 +50,14 @@ from .parser import parse_expr, parse_word, read_polynomial
 from .polynomials import DiagonalState, Polynomial, Scalar
 from .registry import (
     GeneratorRecord,
+    LabelIndex,
     ProtectionRecord,
     Registry,
     check_reads_back,
     parse_record_line,
     record_from_fields,
     record_problem,
+    record_values,
     take_field,
 )
 
@@ -204,6 +208,10 @@ CASE_PROJECTION = "projection-carry"
 CASE_PREFIX_REWRITE = "prefix-rewrite"
 CASE_EARLY_ORTHOGONAL = "early-orthogonal"
 CASE_LATE_DOMINATES = "late-dominates"
+CASES = (CASE_BASE, CASE_LEFT_ANCHOR, CASE_PROJECTION, CASE_PREFIX_REWRITE,
+         CASE_EARLY_ORTHOGONAL, CASE_LATE_DOMINATES)
+
+TRACE_HEADER = "prefixalg trace v1"
 
 
 class TraceStep(Frozen):
@@ -264,7 +272,7 @@ class VanishingTrace(Value):
         return lines
 
     def to_text(self) -> str:
-        return "\n".join(["prefixalg trace v1"] + self.to_lines()) + "\n"
+        return "\n".join([TRACE_HEADER] + self.to_lines()) + "\n"
 
 
 class ZeroReport(Value):
@@ -330,7 +338,7 @@ def _walk(
     end, (steps, None, reason).
     """
     anchor = word.index(V(pivot, pivot))
-    carrier, steps = pivot, []
+    carrier, steps, index = pivot, [], reg.labels()
     for i in range(anchor, -1, -1):
         m, issued, stage = word[i], stages[i], None
         if i == anchor:
@@ -352,7 +360,7 @@ def _walk(
         adjoint = issued is not None and stage not in issued[0]
         steps.append(TraceStep(i + 1, case, carrier, stage, adjoint))
         suffix = multiply(m, suffix) if i < anchor else normal_form(word[anchor:])
-        _check_carrier(reg, prot, carrier, suffix)
+        _check_carrier(index, prot, carrier, suffix)
         if case == CASE_EARLY_ORTHOGONAL:
             why = "was issued before the protection and cannot meet the carrier"
             return steps, None, f"factor at position {i + 1} {why}"
@@ -360,13 +368,14 @@ def _walk(
 
 
 def _check_carrier(
-    reg: Registry, prot: ProtectionRecord, carrier: Tup, suffix_nf: Monomial
+    index: LabelIndex, prot: ProtectionRecord, carrier: Tup, suffix_nf: Monomial
 ) -> None:
-    """The three claim properties for one carrier."""
+    """The three claim properties for one carrier, against the registry's
+    label index."""
     n = len(carrier)
     if multiply(V(carrier, carrier), suffix_nf) != suffix_nf:
         raise SoundnessError("carrier projection does not absorb the product")
-    first = reg.labels().first_use(n, carrier[-1])
+    first = index.first_use(n, carrier[-1])
     if first <= prot.stage:
         raise SoundnessError(f"carrier coordinate {n} collides with generator stage {first}")
     for c in prot.tuples:
@@ -446,9 +455,13 @@ def check_state_vanishes(
     problem = _horizon_problem(result, prot)
     if problem:
         raise HorizonError(problem)
-    if rho.evaluate(Polynomial.projection(result.carrier)):
+    if rho.mass(result.carrier):
         raise SoundnessError("state has mass on the carrier cylinder")
-    value = rho.evaluate(Polynomial.of(normal_form(word)))
+    # A diagonal state sees only the diagonal: a monomial that rewrites its
+    # cylinder moves every basis vector off itself, so only a projection
+    # has a nonzero value, the mass of its cylinder.
+    m = normal_form(word)
+    value = rho.mass(m.dom) if m is not ZERO and m.dom == m.ran else Scalar(0)
     if value:
         raise SoundnessError("state evaluation is nonzero despite a verified trace")
     return value
@@ -625,11 +638,106 @@ def _parse_stage(text: str) -> Optional[int]:
     return None if text == "-" else parse_natural(text)
 
 
-def parse_trace_text(text: str) -> VanishingTrace:
+_STEP_KEYS = ("pos=", "case=", "stage=", "adjoint=", "carrier=")
+_FINAL_KEYS = ("carrier=", "depth=")
+_CASE_NAMES = frozenset(CASES)
+
+
+def _read_factor(text: str) -> Optional[V]:
+    """The monomial m with `format_monomial(m) == text`, or None."""
+    if text[-1:] == ")":
+        if text[:2] == "P(":
+            t = read_tuple(text[2:-1])
+            return None if t is None else V(t, t)
+        if text[:2] == "V(":
+            dom, _, ran = text[2:-1].partition(";")
+            dom, ran = read_tuple(dom), read_tuple(ran)
+            if dom is not None and ran is not None and dom != ran and len(dom) == len(ran):
+                return V(dom, ran)
+    return None
+
+
+def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
+    """The trace whose `to_lines()` are exactly these lines, or None for
+    any other lines. Checks, field by field, everything the printer
+    decides: the line order, the keys and single spaces, naturals and
+    labels as `str` prints them, one of the six case names, V only with
+    dom != ran of equal length, and a final depth equal to the carrier's
+    length."""
+    if len(lines) < 4:
+        return None
+    prot, pivot, word_line = lines[:3]
+    if prot[:5] != "prot " or pivot[:6] != "pivot " or word_line[:5] != "word ":
+        return None
+    prot, pivot = read_natural(prot[5:]), read_tuple(pivot[6:])
+    if prot is None or pivot is None:
+        return None
+    word = []
+    for text in word_line[5:].split("|"):
+        m = _read_factor(text)
+        if m is None:
+            return None
+        word.append(m)
+    steps = []
+    for line in lines[3:-1]:
+        values = record_values(line, "step", _STEP_KEYS)
+        if values is None:
+            return None
+        position, case, stage, adjoint, carrier = values
+        position, carrier = read_natural(position), read_tuple(carrier)
+        if position is None or carrier is None or case not in _CASE_NAMES:
+            return None
+        if adjoint not in ("0", "1"):
+            return None
+        if stage == "-":
+            stage = None
+        else:
+            stage = read_natural(stage)
+            if stage is None:
+                return None
+        steps.append(TraceStep(position, case, carrier, stage, adjoint == "1"))
+    final = record_values(lines[-1], "final", _FINAL_KEYS)
+    if final is None:
+        return None
+    carrier = read_tuple(final[0])
+    if carrier is None or final[1] != str(len(carrier)):
+        return None
+    return VanishingTrace(tuple(word), pivot, prot, tuple(steps), carrier)
+
+
+def _read_canonical_trace(text: str) -> Optional[VanishingTrace]:
+    """The trace whose `to_text()` is exactly text, or None for any other
+    text: only the text this refuses is parsed line by line and printed
+    back."""
+    lines = text.split("\n")
+    if lines[0] != TRACE_HEADER or lines[-1]:
+        return None
+    return _read_canonical_lines(lines[1:-1])
+
+
+def _parse_trace_file(text: str) -> VanishingTrace:
+    """The trace a file holds, read line by line; errors name the line."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != "prefixalg trace v1":
+    if not lines or lines[0].strip() != TRACE_HEADER:
         raise ValueError("not a trace file (bad header)")
     return parse_trace_lines(lines[1:], first_line=2)
+
+
+def parse_trace_text(text: str) -> VanishingTrace:
+    """The trace a file holds: canonical text is read in one pass, any other
+    text line by line."""
+    return _read_canonical_trace(text) or _parse_trace_file(text)
+
+
+def read_trace_lines(lines: list[str], first_line: int) -> tuple[VanishingTrace, list[str]]:
+    """The trace a session binding's lines hold, and its canonical lines:
+    the lines themselves when the canonical reader takes them, so read-back
+    prints nothing; else what the trace parsed from them prints."""
+    trace = _read_canonical_lines(lines)
+    if trace is not None:
+        return trace, lines
+    trace = parse_trace_lines(lines, first_line)
+    return trace, trace.to_lines()
 
 
 def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
@@ -656,10 +764,13 @@ def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
 
 def verify_trace_text(text: str, reg: Registry) -> VerifyReport:
     """Parse, insist that the text is exactly what the parsed trace prints,
-    then verify the trace."""
-    try:
-        trace = parse_trace_text(text)
-        check_reads_back(text.splitlines(), trace.to_text().splitlines())
-    except ValueError as exc:
-        return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
+    then verify the trace. Canonical text is read in one pass and never
+    printed back."""
+    trace = _read_canonical_trace(text)
+    if trace is None:
+        try:
+            trace = _parse_trace_file(text)
+            check_reads_back(text.splitlines(), trace.to_text().splitlines())
+        except ValueError as exc:
+            return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
     return verify_trace(trace, reg)

@@ -465,6 +465,32 @@ def test_session_comment_line_is_refused_and_kept(tmp_path, capsys):
     assert session.read_text() == text
 
 
+def test_session_header_and_line_breaks_that_do_not_read_back_are_refused_and_kept(
+    tmp_path, capsys
+):
+    # A save writes the bare header and a newline after every line, so
+    # loading either edit would silently rewrite it.
+    session = tmp_path / "s.txt"
+    run("--session", str(session), "link", "(1)", "(2)")
+    run("--session", str(session), "let", "q", "P((1))")
+    text = session.read_text()
+    lines = text.splitlines(keepends=True)
+    edits = [
+        (text.replace("prefixalg session v1", "prefixalg session v1 "),
+         "error: line 1 does not read back exactly (expected 'prefixalg session v1')\n"),
+        (text.replace("\n", "\r\n"), "error: line 1 ends in '\\r\\n', not a newline\n"),
+        ("".join(lines[:3]) + lines[3].replace("\n", "\r\n") + "".join(lines[4:]),
+         "error: line 4 ends in '\\r\\n', not a newline\n"),
+        (text[:-1], "error: line 5 does not end in a newline\n"),
+    ]
+    for edited, error in edits:
+        session.write_bytes(edited.encode())
+        capsys.readouterr()
+        code, out = run("--session", str(session), "let", "z", "P((5))")
+        assert (code, out, capsys.readouterr().err) == (2, "", error)
+        assert session.read_bytes() == edited.encode()
+
+
 def test_session_binding_block_lines_are_refused_and_kept(tmp_path, capsys):
     # A save writes neither blank lines nor padded binding lines, so loading
     # either would silently drop it.

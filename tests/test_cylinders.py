@@ -10,6 +10,8 @@ from prefixalg.cylinders import (
     member,
     parse_seqdesc_text,
     parse_tuple_text,
+    read_natural,
+    read_tuple,
 )
 
 labels = st.integers(min_value=0, max_value=6)
@@ -84,6 +86,27 @@ def test_tuple_text_rejects_garbage():
     for bad in ["", "(", "(1,", "(1,-2)", "1,2", "(a)", "(²)", "(1,٣)"]:
         with pytest.raises(ValueError):
             parse_tuple_text(bad)
+
+
+@given(st.text(alphabet="0123456789(),\u0663 +_", max_size=8))
+def test_read_tuple_takes_exactly_printed_tuples(text):
+    try:
+        parsed = parse_tuple_text(text)
+    except ValueError:
+        parsed = None
+    want = parsed if parsed is not None and format_tuple(parsed) == text else None
+    assert read_tuple(text) == want
+    digits = text.isascii() and text.isdigit()
+    assert read_natural(text) == (int(text) if digits and str(int(text)) == text else None)
+
+
+def test_read_natural_and_tuple_refuse_what_int_cannot_convert():
+    digits = "1" + "0" * 4300
+    assert read_natural(digits) is None
+    assert read_tuple(f"(1,{digits})") is None
+    assert read_natural("4300") == 4300 and read_tuple("(0,12)") == (0, 12)
+    for text in ("", "01", "-1", "+1", "1_0", "\u0663", " 1", "1 "):
+        assert read_natural(text) is None
 
 
 def test_seqdesc_text_round_trip():

@@ -272,6 +272,21 @@ def test_support_set_examples():
         assert len(half.support_set(n)) <= 2 * n
 
 
+def test_support_set_slices_one_head_per_point():
+    # The definition: every tail-completed prefix, each built on its own.
+    rng = random.Random("support-set")
+    for _ in range(200):
+        points = {
+            SequenceDesc(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4))),
+                         rng.randint(0, 3)): None
+            for _ in range(rng.randint(1, 4))
+        }
+        rho = DiagonalState([(x, Fraction(1, len(points))) for x in points])
+        for horizon in range(1, 7):
+            want = {x.head(n) for x in points for n in range(1, horizon + 1)}
+            assert rho.support_set(horizon) == sorted(want, key=lambda t: (len(t), t))
+
+
 def test_support_set_is_exactly_where_mass_sits():
     rho = DiagonalState(
         [(SequenceDesc((1, 2), 0), Fraction(1, 3)), (SequenceDesc((1,), 5), Fraction(2, 3))]

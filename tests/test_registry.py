@@ -234,6 +234,42 @@ def test_replay_detects_tampering():
         assert str(exc.value) == f"line 1 does not read back exactly (expected {text.strip()!r})"
 
 
+def load_outcome(text):
+    try:
+        return Registry.from_text(text).records
+    except (RegistryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_generator_lines_read_by_position_load_as_field_by_field(monkeypatch):
+    """A generator line with its fields in print order is read by position;
+    every one- or two-character edit of a log loads, or is refused with its
+    message, exactly as reading every line field by field does."""
+    rng = random.Random("generator-lines")
+    reg = Registry()
+    for _ in range(12):
+        if rng.random() < 0.2:
+            reg.register_protection(rand_state(rng), rng.randint(1, 3))
+        else:
+            reg.link(rand_request(rng), rand_request(rng))
+    text = reg.to_text()
+    alphabet = "0123456789(),=_ \nabdegnqrst\u0663\t"
+    edited = []
+    for _ in range(1500):
+        t = text
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(t))
+            t = t[:i] + rng.choice(["", rng.choice(alphabet), rng.choice(alphabet) + t[i]]) + t[i + 1:]
+        edited.append(t)
+    edited.append(text.replace("req_dom=(", "req_dom=(1" + "0" * 4300 + ",", 1))
+    by_position = [load_outcome(t) for t in edited]
+    monkeypatch.setattr(registry, "_printed_request", lambda line: None)
+    assert [load_outcome(t) for t in edited] == by_position
+    kinds = {re.sub(r"line \d+|'.*'|\d+", "", outcome[1]) if isinstance(outcome, tuple) else "loaded"
+             for outcome in by_position}
+    assert len(kinds) > 10, kinds
+
+
 def test_replay_detects_protection_tampering():
     reg = Registry()
     reg.register_protection(one_point_state((1, 2)), horizon=2)

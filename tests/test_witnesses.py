@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from prefixalg.parser import parse_expr
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
 from prefixalg.registry import GeneratorRecord, ProtectionRecord, Registry, audit_records
 from prefixalg.witnesses import (
+    CASES,
     CASE_BASE,
     CASE_EARLY_ORTHOGONAL,
     CASE_LATE_DOMINATES,
@@ -29,6 +31,7 @@ from prefixalg.witnesses import (
     HorizonError,
     PrimenessCertificate,
     SoundnessError,
+    TRACE_HEADER,
     TraceStep,
     VanishingTrace,
     WitnessError,
@@ -43,7 +46,11 @@ from prefixalg.witnesses import (
     verify_certificate_text,
     verify_trace,
     verify_trace_text,
+    _read_canonical_trace,
+    parse_trace_lines,
+    read_trace_lines,
 )
+from test_acceptance import rand_state, rand_tuple
 
 P = Polynomial.projection
 Iso = Polynomial.isometry
@@ -409,6 +416,39 @@ def test_state_check_uses_a_supplied_trace():
         check_state_vanishes(prot.state, reg, prot, pivot, [projection(pivot)], trace=trace)
 
 
+def test_state_check_of_a_zero_word_is_zero():
+    reg, _, prot, pivot = build_scene()
+    word = [projection((7,)), projection(pivot)]
+    assert normal_form(word) is ZERO
+    report = vanishing_witness(reg, prot, pivot, word)
+    assert check_state_vanishes(prot.state, reg, prot, pivot, word, trace=report) == Scalar(0)
+    # A supplied trace is taken as given: one that claims a carrier for a
+    # zero word still yields the value of the zero operator.
+    claimed = VanishingTrace(tuple(word), pivot, prot.stage, (), pivot)
+    assert check_state_vanishes(prot.state, reg, prot, pivot, word, trace=claimed) == Scalar(0)
+
+
+def test_state_value_of_a_word_moving_a_massive_cylinder_is_zero():
+    reg = Registry()
+    prot = reg.register_protection(one_point_state((5,)), horizon=1)
+    pivot = reg.vanishing_tuple(prot)
+    g = reg.link((5,), pivot)
+    word = [projection(pivot), g.monomial()]
+    # The word moves the cylinder of g.dom, which carries all the mass, off
+    # itself: the state sees no diagonal, so its value is 0.
+    assert prot.state.mass(g.dom) == Scalar(1) and g.dom != g.ran
+    assert check_state_vanishes(prot.state, reg, prot, pivot, word) == Scalar(0)
+
+
+def test_mass_is_the_value_of_the_cylinder_projection():
+    rng = random.Random("mass")
+    for _ in range(200):
+        rho = rand_state(rng)
+        prefixes = [x.head(n) for x, _ in rho.points for n in range(5)]
+        for t in prefixes + [rand_tuple(rng, 4) for _ in range(5)]:
+            assert rho.mass(t) == rho.evaluate(P(t)), (rho, t)
+
+
 def test_state_value_can_be_positive_without_the_pivot():
     reg, _, prot, pivot = build_scene()
     rho = prot.state
@@ -529,6 +569,162 @@ def test_trace_text_round_trip_and_verify():
     tampered = text.replace("final carrier=(6,", "final carrier=(7,")
     assert not verify_trace_text(tampered, reg)
     assert not verify_trace_text(text, Registry())
+
+
+def producer_traces():
+    """Traces the producer emits on criterion 5's scenes and on the walk
+    reference's random sound registries, for words grown one factor at a
+    time on either side of the pivot, each factor keeping the word nonzero."""
+    rng = random.Random("criterion-5")
+    scenes = []
+    for _ in range(20):
+        reg = Registry()
+        for _ in range(rng.randint(0, 4)):
+            reg.link(rand_tuple(rng, 3), rand_tuple(rng, 3))
+        prot = reg.register_protection(rand_state(rng), horizon=10)
+        pivot = reg.vanishing_tuple(prot)
+        for _ in range(50):
+            reg.link(rand_tuple(rng, 3), rand_tuple(rng, 3))
+        scenes.append((reg, prot, pivot, [rand_tuple(rng, 3) for _ in range(10)]))
+    for _ in range(40):
+        scenes.append(_random_sound_registry(rng))
+    for reg, prot, pivot, pool in scenes:
+        gens = [rec.monomial() for rec in reg.records if isinstance(rec, GeneratorRecord)]
+        factors = gens + [adjoint(g) for g in gens] + [projection(t) for t in pool]
+        for _ in range(10):
+            word, nf = [projection(pivot)], projection(pivot)
+            for _ in range(rng.randint(0, 6)):
+                left = rng.random() < 0.8
+                products = [(m, multiply(m, nf) if left else multiply(nf, m)) for m in factors]
+                fits = [(m, product) for m, product in products if product is not ZERO]
+                if not fits:
+                    break
+                m, nf = rng.choice(fits)
+                word = [m] + word if left else word + [m]
+            trace = vanishing_witness(reg, prot, pivot, word)
+            assert isinstance(trace, VanishingTrace)
+            yield reg, trace
+
+
+def test_canonical_trace_reader_reads_every_produced_trace(monkeypatch):
+    produced = list(producer_traces())
+    traces = [trace for _, trace in produced]
+    assert len(traces) > 500
+    # An early-orthogonal step ends a walk at a dead end: no trace holds one.
+    cases = set(CASES) - {CASE_EARLY_ORTHOGONAL}
+    assert {step.case for trace in traces for step in trace.steps} == cases
+    calls = Counter()
+    real = TraceStep.to_line
+
+    def counting(step):
+        calls["to_line"] += 1
+        return real(step)
+
+    for reg, trace in produced:
+        text = trace.to_text()
+        lines = trace.to_lines()
+        monkeypatch.setattr(TraceStep, "to_line", counting)
+        assert _read_canonical_trace(text) == trace
+        assert parse_trace_text(text) == trace
+        assert read_trace_lines(lines, 2) == (trace, lines)
+        assert verify_trace_text(text, reg) == verify_trace(trace, reg)
+        monkeypatch.undo()
+    assert calls["to_line"] == 0
+    # The count sees a trace that is not its own print.
+    monkeypatch.setattr(TraceStep, "to_line", counting)
+    assert verify_trace_text(text[:-1], reg) == verify_trace(trace, reg)
+    assert calls["to_line"] == len(trace.steps)
+
+
+def reference_trace(text):
+    """Parse, print and compare: the trace text holds when it prints back
+    to exactly text, else None."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != TRACE_HEADER:
+        return None
+    try:
+        trace = parse_trace_lines(lines[1:], 2)
+    except ValueError:
+        return None
+    return trace if trace.to_text() == text else None
+
+
+# Characters an edit inserts: the printed ones, and look-alikes the reader
+# must refuse (a non-ASCII digit, a carriage return, a tab).
+EDIT_ALPHABET = "0123456789(),;|=-_ \nPVabcdefgilmnoprstw\u0663\r\t"
+
+
+def edit_text(rng, text):
+    """text with one character deleted, inserted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    what = rng.randrange(3)
+    if what == 0 and i < len(text):
+        return text[:i] + text[i + 1:]
+    if what == 1 or i == len(text):
+        return text[:i] + rng.choice(EDIT_ALPHABET) + text[i:]
+    return text[:i] + rng.choice(EDIT_ALPHABET) + text[i + 1:]
+
+
+def near_misses(text):
+    """Edits that random characters seldom make: a field given a value the
+    printer never prints."""
+    yield re.sub(r"V\((\([0-9,]*\));\([0-9,]*\)\)", r"V(\1;\1)", text, count=1)
+    for before in ("prot ", "pos=", "stage=", "depth=", "(", ","):
+        yield re.sub(re.escape(before) + "([0-9])", before + r"0\1", text, count=1)
+    for old, new in (("adjoint=0", "adjoint=2"), ("adjoint=1", "adjoint=True"),
+                     ("stage=-", "stage=--"), ("case=base", "case=Base")):
+        yield text.replace(old, new, 1)
+
+
+def test_canonical_trace_reader_equals_parse_print_compare_on_edited_texts():
+    rng = random.Random("trace-edits")
+    texts = [trace.to_text() for _, trace in producer_traces()][::3]
+    outcomes = Counter()
+    for text in texts:
+        edits = [edit_text(rng, text) for _ in range(20)]
+        edits = [edit_text(rng, e) if rng.random() < 0.5 else e for e in edits]
+        for edited in edits + list(near_misses(text)):
+            got, want = _read_canonical_trace(edited), reference_trace(edited)
+            if got is not None:
+                assert got == want and got.to_text() == edited, edited
+                outcomes["taken"] += 1
+            elif want is not None:
+                # The reader leaves an unknown case name to the line-by-line
+                # reading, which takes it as written for verify to refuse.
+                assert any(step.case not in CASES for step in want.steps), edited
+                outcomes["unknown case"] += 1
+            else:
+                outcomes["refused"] += 1
+    assert min(outcomes["taken"], outcomes["unknown case"], outcomes["refused"]) > 20, outcomes
+
+
+def test_non_canonical_trace_texts_keep_their_messages():
+    reg, _, prot, pivot = build_scene()
+    late = reg.link(pivot, (6,))
+    text = vanishing_witness(reg, prot, pivot, [late.monomial(), projection(pivot)]).to_text()
+    assert text.splitlines()[3:] == [
+        "word V((0,1);(6,1))|P((0))",
+        "step pos=2 case=base stage=- adjoint=0 carrier=(0)",
+        "step pos=1 case=late-dominates stage=2 adjoint=0 carrier=(6,1)",
+        "final carrier=(6,1) depth=2",
+    ]
+    long = "9" * 4301
+    malformed = "malformed trace: "
+    cases = [
+        (text.replace("case=late-dominates", "case=late-dominated"),
+         ["re-derived trace differs from the recorded one"]),
+        (text.replace("depth=2", "depth=3"),
+         [malformed + "line 7 does not read back exactly (expected 'final carrier=(6,1) depth=2')"]),
+        (text.replace("V((0,1);(6,1))", "V((0,1);(6))"),
+         [malformed + "tuple length mismatch in V: 2 vs 1 (line 1, column 12)"]),
+        (text.replace("final carrier=(6,1)", f"final carrier=(6,{long})"),
+         [malformed + f"line 7: final record field carrier: label too long (4301 digits) "
+                      f"in tuple '(6,{long})'"]),
+        (text[:-1], []),
+    ]
+    for edited, problems in cases:
+        assert _read_canonical_trace(edited) is None
+        assert verify_trace_text(edited, reg).problems == problems
 
 
 def test_poly_text_in_witness_blocks_round_trips():
