@@ -16,7 +16,7 @@ from .cylinders import format_tuple, parse_natural, parse_seqdesc_text, parse_tu
 from .expr import eval_expr, poly_text
 from .parser import ParseError, parse_expr, parse_word
 from .polynomials import Polynomial, parse_state_text
-from .registry import Registry, RegistryError
+from .registry import Registry, RegistryError, check_line_breaks
 from .session import Session
 from .witnesses import (
     SoundnessError,
@@ -232,19 +232,23 @@ def _run(args, out) -> int:
         return OK
 
     if args.command == "verify":
-        text = Path(args.file).read_text(encoding="utf-8")
-        head = text.splitlines()[0].strip() if text.splitlines() else ""
+        # Decoded from bytes: text mode would turn "\r\n" into "\n" unseen.
+        text = Path(args.file).read_bytes().decode("utf-8")
+        lines = text.splitlines()
+        head = lines[0].strip() if lines else ""
         reg: Optional[Registry] = None
         if args.session and Path(args.session).exists():
             reg = Session.load(args.session).registry
         if head == "prefixalg certificate v1":
-            report = verify_certificate_text(text, reg)
+            verify = verify_certificate_text
         elif head == "prefixalg trace v1":
             if reg is None:
                 raise UsageError("verifying a trace needs --session with the registry")
-            report = verify_trace_text(text, reg)
+            verify = verify_trace_text
         else:
             raise UsageError(f"unrecognized file header {head!r}")
+        check_line_breaks(text, lines)
+        report = verify(text, reg)
         if report:
             print("verified ok", file=out)
             return OK
@@ -310,6 +314,11 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return FAIL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except (MemoryError, RecursionError) as exc:
+        # A limit of this process, not a bug: one line, no traceback.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return USAGE
 
 

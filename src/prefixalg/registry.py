@@ -8,12 +8,13 @@ state so that all later generators steer clear of it; that is what makes the
 state-vanishing argument run.
 
 Records are kept in request order because the avoidance sets depend on what
-came earlier. The fresh label is always the least unused one, so replaying a
-log of requests reproduces the registry bit for bit. A generator record is
-fixed by its request and its fresh label (`GeneratorRecord.issue`); loading,
-`audit_records` and certificate verification all hold a record to that rule.
-`audit_records` checks a log as written, record by record, without replaying
-it.
+came earlier. The fresh label is always the least unused one, so a log is
+fixed by its requests. A generator record is fixed by its request and its
+fresh label (`GeneratorRecord.issue`); loading, `audit_records` and
+certificate verification all hold a record to that rule. A load checks each
+line, as it is read, against the least-free rule and the records before it,
+and never replays the log; a save writes back the lines a load read.
+`audit_records` checks a log as written, record by record.
 """
 
 from __future__ import annotations
@@ -122,10 +123,11 @@ class LabelIndex:
     that audits clean, positions equal stages, so "used by a generator up to
     stage s" is `first_use(n, label) <= s`. `free[n]` is a label below which
     every label is blocked. `stages` maps each issued (dom, ran) pair to its
-    generator stages. `records` is the indexed record list.
+    generator stages. `records` is the indexed record list, and `lines[k]`
+    the line `records[k]` was read from, None when it was not read.
     """
 
-    __slots__ = ("used", "protected", "free", "stages", "records")
+    __slots__ = ("used", "protected", "free", "stages", "records", "lines")
 
     def __init__(self) -> None:
         self.used: dict[int, dict[int, int]] = {}
@@ -133,10 +135,13 @@ class LabelIndex:
         self.free: dict[int, int] = {}
         self.stages: dict[tuple[Tup, Tup], list[int]] = {}
         self.records: list[Record] = []
+        self.lines: list[Optional[str]] = []
 
-    def add(self, rec: Record) -> None:
+    def add(self, rec: Record, line: Optional[str] = None) -> None:
+        """Index the next record; `line` is the line it was read from, which
+        must be exactly what it prints."""
         # The pairs of `_blocked`, written out: this runs for every record
-        # a session load replays.
+        # a session load reads.
         pos = len(self.records)
         if isinstance(rec, GeneratorRecord):
             for n, pair in enumerate(zip(rec.dom, rec.ran), start=1):
@@ -149,11 +154,13 @@ class LabelIndex:
                 for n, label in enumerate(c, start=1):
                     self.protected.setdefault(n, {}).setdefault(label, pos)
         self.records.append(rec)
+        self.lines.append(line)
 
     def pop(self) -> None:
         """Undo the last `add`: drop the entries the last record made first,
         moving the least-free pointer back to any label that frees."""
         rec = self.records.pop()
+        self.lines.pop()
         pos = len(self.records)
         table = self.used if isinstance(rec, GeneratorRecord) else self.protected
         for n, label in _blocked(rec):
@@ -298,8 +305,19 @@ class Registry:
 
     # -- serialization -----------------------------------------------------
 
+    def record_lines(self) -> list[str]:
+        """Each record's line: the line a load read it from while it is the
+        record indexed at its position, else what it prints."""
+        index = self._index
+        lines = [
+            line if old is rec and line is not None else rec.to_line()
+            for rec, old, line in zip(self.records, index.records, index.lines)
+        ]
+        lines.extend([rec.to_line() for rec in self.records[len(lines):]])
+        return lines
+
     def to_text(self) -> str:
-        return "".join(rec.to_line() + "\n" for rec in self.records)
+        return "".join([line + "\n" for line in self.record_lines()])
 
     @staticmethod
     def from_text(text: str) -> "Registry":
@@ -308,52 +326,87 @@ class Registry:
 
     @staticmethod
     def from_lines(lines: list[str], first_line: int = 1) -> "Registry":
-        """Rebuild a registry by replaying the recorded requests.
+        """The registry whose record lines are these, each checked as it is
+        read against the records before it; nothing is replayed.
 
-        Only the requested pair of a generator line is read; `link` issues
-        the generator again. A line with the generator's fields in print
-        order and canonical requested tuples is read by position, any other
-        line field by field. A protection line is read whole and judged by
-        `record_problem`. Every line must be a record line, exactly what its
-        record prints, so a blank or comment line, an edited derived field,
-        or a file written by different code, is refused. Errors name the
-        line, counting the first given line as `first_line`.
+        A generator line that is exactly what `link` would print at its
+        position is read once (`_read_issued`) and kept, so a save writes
+        it back unprinted. Any other line is read field by field: a
+        generator line's request is linked, a protection line is judged by
+        `record_problem`, and the line must read back exactly as its record
+        prints. So a blank or comment line, an edited derived field, or a
+        file written by different code, is refused. Errors name the line,
+        counting the first given line as `first_line`.
         """
         reg = Registry()
-        for lineno, raw in enumerate(lines, start=first_line):
-            requested = _printed_request(raw)
-            if requested is None:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    # A save writes only records, so it would drop such a line.
-                    raise RegistryError(f"line {lineno}: blank or comment line in the record block")
-                fields = parse_record_line(line, lineno)
-                if fields["_kind"] == "generator":
-                    field = partial(take_field, fields, lineno)
-                    requested = field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text)
-                else:
-                    rec: Record = record_from_fields(fields, lineno)
-                    problem = record_problem(None, len(reg.records), rec)
-                    if problem:
-                        raise RegistryError(f"line {lineno}: {problem}")
-                    reg.records.append(rec)
-            if requested is not None:
-                rec = reg.link(*requested)
-            check_reads_back([raw], [rec.to_line()], lineno)
+        records, index = reg.records, reg.labels()
+        for lineno, line in enumerate(lines, start=first_line):
+            rec = _read_issued(line, len(records), index)
+            if rec is None:
+                rec = _read_record(reg, line, lineno)
+            else:
+                records.append(rec)
+            index.add(rec, line)
         return reg
 
 
-_GENERATOR_KEYS = ("stage=", "req_dom=", "req_ran=", "n=", "fresh=", "dom=", "ran=")
-
-
-def _printed_request(line: str) -> Optional[tuple[Tup, Tup]]:
-    """The requested pair of a line with the generator line's fields in
-    print order and canonical requested tuples; None for any other line."""
-    values = record_values(line, "generator", _GENERATOR_KEYS)
-    if values is None:
+def _read_issued(line: str, pos: int, index: LabelIndex) -> Optional[GeneratorRecord]:
+    """The record `link` issues at this position when it prints exactly as
+    this line; None for any other line. The index must hold every earlier
+    record. The request is read, the fresh label is the index's least free
+    one, and every other field is compared as text."""
+    words = line.split(" ")
+    if len(words) != 8 or words[0] != "generator" or words[1] != f"stage={pos}":
         return None
-    req_dom, req_ran = read_tuple(values[1]), read_tuple(values[2])
-    return None if req_dom is None or req_ran is None else (req_dom, req_ran)
+    _, _, dom_word, ran_word, n_word, fresh_word, dom, ran = words
+    if dom_word[:8] != "req_dom=" or ran_word[:8] != "req_ran=":
+        return None
+    dom_text, ran_text = dom_word[8:], ran_word[8:]
+    req_dom, req_ran = read_tuple(dom_text), read_tuple(ran_text)
+    if req_dom is None or req_ran is None:
+        return None
+    n = _depth((req_dom, req_ran))
+    if n_word != f"n={n}":
+        return None
+    fresh = index.least_free(n)
+    label = str(fresh)
+    if (
+        fresh_word != "fresh=" + label
+        or dom != "dom=" + _padded(dom_text, n - len(req_dom), label)
+        or ran != "ran=" + _padded(ran_text, n - len(req_ran), label)
+    ):
+        return None
+    return GeneratorRecord.issue(pos, (req_dom, req_ran), fresh)
+
+
+def _padded(text: str, count: int, label: str) -> str:
+    """The printed tuple `text` with `count` more coordinates, each the
+    printed `label`, as `format_tuple` prints it."""
+    if text == "()":
+        return "(" + ",".join([label] * count) + ")"
+    return text[:-1] + ("," + label) * count + ")"
+
+
+def _read_record(reg: "Registry", raw: str, lineno: int) -> Record:
+    """Append the record of a line read field by field: a generator line's
+    request is linked, a protection is judged by `record_problem`. The line
+    must read back exactly as that record prints."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        # A save writes only records, so it would drop such a line.
+        raise RegistryError(f"line {lineno}: blank or comment line in the record block")
+    fields = parse_record_line(line, lineno)
+    if fields["_kind"] == "generator":
+        field = partial(take_field, fields, lineno)
+        rec: Record = reg.link(field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text))
+    else:
+        rec = record_from_fields(fields, lineno)
+        problem = record_problem(None, len(reg.records), rec)
+        if problem:
+            raise RegistryError(f"line {lineno}: {problem}")
+        reg.records.append(rec)
+    check_reads_back([raw], [rec.to_line()], lineno)
+    return rec
 
 
 def audit_records(records: Sequence[Record]) -> list[str]:
@@ -455,6 +508,19 @@ def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1
         if line != want:
             what = "no line" if want is None else repr(want)
             raise ValueError(f"line {lineno} does not read back exactly (expected {what})")
+
+
+def check_line_breaks(text: str, lines: list[str]) -> None:
+    """Refuse a text whose lines, `text.splitlines()`, do not each end in one
+    newline, naming the first line that does not: a save or a print would
+    rewrite its line break."""
+    if "\n".join(lines) + "\n" == text:
+        return
+    for lineno, (kept, line) in enumerate(zip(text.splitlines(keepends=True), lines), start=1):
+        end = kept[len(line):]
+        if end != "\n":
+            what = f"ends in {end!r}, not a newline" if end else "does not end in a newline"
+            raise RegistryError(f"line {lineno} {what}")
 
 
 def _parse_tuples(text: str) -> tuple[Tup, ...]:

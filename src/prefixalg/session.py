@@ -1,9 +1,10 @@
 """Session files: a registry plus named bindings, in deterministic text.
 
-A session file replays on load: generator records are re-derived from their
-requests, and every record line and binding must read back exactly as its
-canonical textual form. Saving the same session twice, or replaying the
-same command transcript twice, therefore produces identical bytes.
+A load checks the record block line by line against the least-free rule,
+never replaying it, and every record line and binding must read back exactly
+as its canonical textual form; a save writes back the record lines it read.
+Saving the same session twice, or replaying the same command transcript
+twice, therefore produces identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Union
 from .cylinders import Value
 from .expr import poly_text
 from .polynomials import Polynomial
-from .registry import Registry, RegistryError, check_reads_back
+from .registry import Registry, RegistryError, check_line_breaks, check_reads_back
 from .parser import read_polynomial
 from .witnesses import IdealWitness, VanishingTrace, parse_witness_block, read_trace_lines
 
@@ -38,8 +39,7 @@ class Session(Value):
         self.bindings[name] = value
 
     def to_text(self) -> str:
-        lines = [HEADER]
-        lines.extend(self.registry.to_text().splitlines())
+        lines = [HEADER, *self.registry.record_lines()]
         for name, value in self.bindings.items():
             if isinstance(value, Polynomial):
                 lines.append(f"binding {name} polynomial")
@@ -61,7 +61,7 @@ class Session(Value):
         if not lines or lines[0].strip() != HEADER:
             raise RegistryError("not a session file (bad header)")
         check_reads_back(lines[:1], [HEADER])
-        _check_line_breaks(text, lines)
+        check_line_breaks(text, lines)
         i = 1
         while i < len(lines) and not lines[i].startswith("binding "):
             i += 1
@@ -101,18 +101,6 @@ class Session(Value):
         if p.exists():
             return Session.load(p)
         return Session()
-
-
-def _check_line_breaks(text: str, lines: list[str]) -> None:
-    """Refuse a text whose lines do not each end in one newline, naming the
-    first line that does not: a save would rewrite its line break."""
-    if "\n".join(lines) + "\n" == text:
-        return
-    for lineno, (kept, line) in enumerate(zip(text.splitlines(keepends=True), lines), start=1):
-        end = kept[len(line):]
-        if end != "\n":
-            what = f"ends in {end!r}, not a newline" if end else "does not end in a newline"
-            raise RegistryError(f"line {lineno} {what}")
 
 
 def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding:

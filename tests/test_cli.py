@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from prefixalg import cli
 from prefixalg.cli import main
 from prefixalg.monomials import V, projection
 from prefixalg.session import Session
@@ -544,6 +545,50 @@ def late_trace(tmp_path):
     word = f"P({fields['ran']}) V({fields['dom']};{fields['ran']}) P({pivot})"
     assert run("--session", session, "lemma2", "0", word, "--out", str(trace_path))[0] == 0
     return session, trace_path
+
+
+def test_verify_refuses_line_breaks_that_do_not_read_back(tmp_path, capsys):
+    # The verified file must be the file the program printed: a "\r\n" that
+    # a text-mode read would hide is refused, as in a session file.
+    session, trace_path = late_trace(tmp_path)
+    cert_path = tmp_path / "cert.txt"
+    code, _ = run(
+        "--session", session,
+        "prime-witness", "P((1))", "(1)/0", "V((1);(2))", "(1)/0", "--out", str(cert_path),
+    )
+    assert code == 0
+    for path in (cert_path, trace_path):
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        edits = [
+            (text.replace("\n", "\r\n"), "error: line 1 ends in '\\r\\n', not a newline\n"),
+            ("".join(lines[:2]) + lines[2].replace("\n", "\r\n") + "".join(lines[3:]),
+             "error: line 3 ends in '\\r\\n', not a newline\n"),
+            (text[:-1], f"error: line {len(lines)} does not end in a newline\n"),
+        ]
+        for edited, error in edits:
+            path.write_bytes(edited.encode())
+            capsys.readouterr()
+            assert run("--session", session, "verify", str(path)) == (2, "")
+            assert capsys.readouterr().err == error
+        path.write_text(text)
+        assert run("--session", session, "verify", str(path)) == (0, "verified ok\n")
+
+
+def test_limits_end_in_one_error_line(monkeypatch, capsys):
+    # Raised by hand: showing a real limit would ask the machine for it.
+    for exc, error in (
+        (MemoryError(), "error: MemoryError\n"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: RecursionError: maximum recursion depth exceeded\n"),
+    ):
+        def fail(args, out, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run", fail)
+        capsys.readouterr()
+        assert run("normalize", "P((1))") == (2, "")
+        assert capsys.readouterr().err == error
 
 
 def test_verify_trace_must_read_back_exactly(tmp_path, capsys):

@@ -263,11 +263,110 @@ def test_generator_lines_read_by_position_load_as_field_by_field(monkeypatch):
         edited.append(t)
     edited.append(text.replace("req_dom=(", "req_dom=(1" + "0" * 4300 + ",", 1))
     by_position = [load_outcome(t) for t in edited]
-    monkeypatch.setattr(registry, "_printed_request", lambda line: None)
+    monkeypatch.setattr(registry, "_read_issued", lambda line, pos, index: None)
     assert [load_outcome(t) for t in edited] == by_position
     kinds = {re.sub(r"line \d+|'.*'|\d+", "", outcome[1]) if isinstance(outcome, tuple) else "loaded"
              for outcome in by_position}
     assert len(kinds) > 10, kinds
+
+
+def blocking_log(seed, steps=120):
+    """A seeded log of links with protections between them; every fourth
+    protection blocks the label the next link at depth 2 would otherwise take."""
+    rng = random.Random(seed)
+    reg = Registry()
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            reg.register_protection(rand_state(rng), rng.randint(1, 3))
+        elif roll < 0.15:
+            label = reg.labels().least_free(2)
+            reg.register_protection(one_point_state((rng.randint(0, 6),), label), 2)
+            assert reg.link((rng.randint(0, 6),), rand_request(rng)[:1]).fresh != label
+        else:
+            reg.link(rand_request(rng), rand_request(rng))
+    return reg
+
+
+def test_protection_blocking_the_least_free_label_loads():
+    reg = Registry()
+    assert reg.link((1,), (2,)).fresh == 0
+    reg.register_protection(one_point_state((5,), tail=1), horizon=2)
+    assert reg.link((3,), (4,)).fresh == 2
+    assert Registry.from_text(reg.to_text()).records == reg.records
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_load_matches_replay(seed, monkeypatch):
+    """Every generator line of a genuine log is accepted by the one-pass
+    reader, as exactly what its record prints, and the registry loaded is
+    the one that replaying the log through `link` builds."""
+    reg = blocking_log(seed)
+    text = reg.to_text()
+    accepted = []
+    real = registry._read_issued
+
+    def reading(line, pos, index):
+        rec = real(line, pos, index)
+        if rec is not None:
+            accepted.append((line, rec))
+        return rec
+
+    monkeypatch.setattr(registry, "_read_issued", reading)
+    loaded = Registry.from_text(text).records
+    monkeypatch.setattr(registry, "_read_issued", lambda line, pos, index: None)
+    replay = Registry.from_text(text).records
+    assert loaded == replay == reg.records
+    assert len(accepted) == sum(isinstance(rec, GeneratorRecord) for rec in reg.records)
+    assert all(line == rec.to_line() for line, rec in accepted)
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one at each call of owner.name."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_load_links_prints_and_rewinds_nothing(monkeypatch):
+    text = blocking_log(0).to_text()
+    calls = [
+        count_calls(monkeypatch, Registry, "link"),
+        count_calls(monkeypatch, GeneratorRecord, "to_line"),
+        count_calls(monkeypatch, registry.LabelIndex, "pop"),
+    ]
+    Registry.from_text(text)
+    assert calls == [[], [], []]
+
+
+def test_saved_lines_are_what_the_records_print():
+    """The text of a registry is what its records print in every state of
+    the log: loaded, extended, cut back, appended by hand, edited in place."""
+    rng = random.Random("saved-lines")
+
+    def printed(reg):
+        return "".join(rec.to_line() + "\n" for rec in reg.records)
+
+    reg = Registry.from_text(blocking_log(1, 60).to_text())
+    assert reg.to_text() == printed(reg)
+    reg.link((1,), (2, 3))
+    reg.register_protection(rand_state(rng), 2)
+    assert reg.to_text() == printed(reg)
+    del reg.records[30:]
+    reg.link((4,), (5,))
+    assert reg.to_text() == printed(reg)
+    reg.records.append(hand_generator(rng, len(reg.records)))
+    assert reg.to_text() == printed(reg)
+    index = reg.labels()
+    k = next(k for k in range(10, 30) if isinstance(reg.records[k], GeneratorRecord))
+    reg.records[k] = replace(reg.records[k], fresh=reg.records[k].fresh + 1)
+    assert index.lines[k] is not None and index.lines[k] != reg.records[k].to_line()
+    assert reg.to_text() == printed(reg)
 
 
 def test_replay_detects_protection_tampering():
@@ -624,18 +723,6 @@ def test_load_audit_and_verify_agree():
     assert loads_refused > 100
 
 
-def count_record_problem_calls(monkeypatch):
-    calls = []
-    real = registry.record_problem
-
-    def counting(index, pos, rec):
-        calls.append(rec)
-        return real(index, pos, rec)
-
-    monkeypatch.setattr(witnesses, "record_problem", counting)
-    return calls
-
-
 def test_certificate_verify_checks_one_record(monkeypatch):
     rng = random.Random(5)
     reg = Registry()
@@ -648,6 +735,6 @@ def test_certificate_verify_checks_one_record(monkeypatch):
     w1 = ideal_projection_witness(reg, Polynomial.projection((1,)), SequenceDesc((1,), 0))
     w2 = ideal_projection_witness(reg, Polynomial.projection((2,)), SequenceDesc((2,), 0))
     cert = primeness_witness(reg, w1, w2)
-    calls = count_record_problem_calls(monkeypatch)
+    calls = count_calls(monkeypatch, witnesses, "record_problem")
     assert verify_certificate(cert, reg)
     assert len(calls) == 1

@@ -6,7 +6,7 @@ import pytest
 from prefixalg.cylinders import SequenceDesc
 from prefixalg.monomials import projection
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
-from prefixalg.registry import RegistryError
+from prefixalg.registry import GeneratorRecord, ProtectionRecord, RegistryError
 from prefixalg.session import Session
 from prefixalg.witnesses import ideal_projection_witness, vanishing_witness
 
@@ -53,6 +53,27 @@ def test_session_save_load(tmp_path):
     again = Session.load(path)
     again.save(tmp_path / "s2.txt")
     assert (tmp_path / "s.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
+
+
+def test_save_prints_only_the_records_not_read(tmp_path, monkeypatch):
+    path = tmp_path / "s.txt"
+    busy_session().save(path)
+    session = Session.load(path)
+    printed = []
+    for cls in (GeneratorRecord, ProtectionRecord):
+        def to_line(rec, real=cls.to_line):
+            printed.append(rec)
+            return real(rec)
+
+        monkeypatch.setattr(cls, "to_line", to_line)
+    assert session.to_text() == path.read_text()
+    assert printed == []
+    reg = session.registry
+    new = [reg.link((3,), (4,)), reg.register_protection(one_point_state((8,)), 2)]
+    session.save(path)
+    assert printed == new
+    monkeypatch.undo()
+    assert Session.load(path).to_text() == path.read_text()
 
 
 def test_session_rejects_bad_headers():
