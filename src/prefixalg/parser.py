@@ -19,7 +19,7 @@ re-scanning the text, only for the error that names them.
 
 Text that is exactly `poly_text(p)` for a nonzero polynomial p is read in one
 pass by the canonical reader and parses to p itself; any other text goes to
-the recursive descent.
+the recursive descent, which only words the refusal of a file's polynomial.
 """
 
 from __future__ import annotations
@@ -315,13 +315,20 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
-def read_polynomial(text: str) -> tuple[Polynomial, str]:
-    """The polynomial text holds, and its canonical text: text itself when
-    the canonical reader took it, so read-back prints nothing; else its print."""
-    node = parse_expr(text)
-    if isinstance(node, Polynomial):
-        return node, text
-    p = eval_expr(node)
+def read_polynomial(text: str) -> Optional[Polynomial]:
+    """The polynomial p with `poly_text(p) == text`, zero's "0" included; None
+    for any other text. The one reader that accepts a file's polynomial."""
+    return Polynomial() if text == "0" else _read_canonical(text)
+
+
+def reprint_polynomial(text: str) -> tuple[Polynomial, str]:
+    """The polynomial text denotes and its canonical text: text itself when
+    `read_polynomial` takes it; else its print, which a read-back refuses.
+    Text that does not parse is a ParseError."""
+    p = read_polynomial(text)
+    if p is not None:
+        return p, text
+    p = eval_expr(parse_expr(text))
     return p, poly_text(p)
 
 

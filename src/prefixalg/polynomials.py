@@ -705,6 +705,19 @@ class DiagonalState:
             out.update(head[:n] for n in range(1, max_len + 1))
         return sorted(out, key=lambda t: (len(t), t))
 
+    def support_size(self, max_len: int) -> int:
+        """`len(self.support_set(max_len))`, counted without building it.
+        Distinct points differ one level past the longest prefix. Sorted by
+        their heads there, each point after the first adds one tuple per
+        level past its common prefix with the point before it."""
+        depth = max(len(x.prefix) for x, _ in self.points) + 1
+        heads = sorted(x.head(depth) for x, _ in self.points)
+        size = max_len
+        for a, b in zip(heads, heads[1:]):
+            common = next(n for n, (p, q) in enumerate(zip(a, b)) if p != q)
+            size += max(0, max_len - common)
+        return size
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DiagonalState) and sorted(
             self.points, key=_point_key

@@ -11,10 +11,10 @@ Records are kept in request order because the avoidance sets depend on what
 came earlier. The fresh label is always the least unused one, so a log is
 fixed by its requests. A generator record is fixed by its request and its
 fresh label (`GeneratorRecord.issue`); loading, `audit_records` and
-certificate verification all hold a record to that rule. A load checks each
-line, as it is read, against the least-free rule and the records before it,
-and never replays the log; a save writes back the lines a load read.
-`audit_records` checks a log as written, record by record.
+certificate verification all hold a record to that rule. A load accepts a
+generator line only as exactly what `link` prints at its position, checked
+as it is read, and never replays the log; a save writes back the lines a
+load read. `audit_records` checks a log as written, record by record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import zip_longest
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, Union
 
 from .cylinders import Frozen, Tup, format_tuple, parse_natural, parse_tuple_text, read_tuple
 from .monomials import V
@@ -327,25 +327,19 @@ class Registry:
     @staticmethod
     def from_lines(lines: list[str], first_line: int = 1) -> "Registry":
         """The registry whose record lines are these, each checked as it is
-        read against the records before it; nothing is replayed.
+        read against the records before it; nothing is replayed or linked.
 
-        A generator line that is exactly what `link` would print at its
-        position is read once (`_read_issued`) and kept, so a save writes
-        it back unprinted. Any other line is read field by field: a
-        generator line's request is linked, a protection line is judged by
-        `record_problem`, and the line must read back exactly as its record
-        prints. So a blank or comment line, an edited derived field, or a
-        file written by different code, is refused. Errors name the line,
-        counting the first given line as `first_line`.
+        A generator line is accepted only as exactly what `link` would print
+        at its position (`_read_issued`); a protection line is read field by
+        field (`_read_record`). Each line is kept, so a save writes it back
+        unprinted. Errors name the line, counting the first given line as
+        `first_line`.
         """
         reg = Registry()
         records, index = reg.records, reg.labels()
         for lineno, line in enumerate(lines, start=first_line):
-            rec = _read_issued(line, len(records), index)
-            if rec is None:
-                rec = _read_record(reg, line, lineno)
-            else:
-                records.append(rec)
+            rec = _read_issued(line, len(records), index) or _read_record(index, line, lineno)
+            records.append(rec)
             index.add(rec, line)
         return reg
 
@@ -387,24 +381,26 @@ def _padded(text: str, count: int, label: str) -> str:
     return text[:-1] + ("," + label) * count + ")"
 
 
-def _read_record(reg: "Registry", raw: str, lineno: int) -> Record:
-    """Append the record of a line read field by field: a generator line's
-    request is linked, a protection is judged by `record_problem`. The line
-    must read back exactly as that record prints."""
+def _read_record(index: LabelIndex, raw: str, lineno: int) -> ProtectionRecord:
+    """The protection a line holds, read field by field, judged by
+    `record_problem` and held to read back exactly as it prints. Any other
+    line is refused: a generator line quotes what `link` prints for its
+    request at this position."""
     line = raw.strip()
     if not line or line.startswith("#"):
         # A save writes only records, so it would drop such a line.
         raise RegistryError(f"line {lineno}: blank or comment line in the record block")
     fields = parse_record_line(line, lineno)
+    pos = len(index.records)
     if fields["_kind"] == "generator":
         field = partial(take_field, fields, lineno)
-        rec: Record = reg.link(field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text))
-    else:
-        rec = record_from_fields(fields, lineno)
-        problem = record_problem(None, len(reg.records), rec)
-        if problem:
-            raise RegistryError(f"line {lineno}: {problem}")
-        reg.records.append(rec)
+        requested = (field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text))
+        issued = GeneratorRecord.issue(pos, requested, index.least_free(_depth(requested)))
+        refuse([raw], [issued.to_line()], lineno)
+    rec = record_from_fields(fields, lineno)
+    problem = record_problem(None, pos, rec)
+    if problem:
+        raise RegistryError(f"line {lineno}: {problem}")
     check_reads_back([raw], [rec.to_line()], lineno)
     return rec
 
@@ -441,7 +437,11 @@ def record_problem(index: Optional[LabelIndex], pos: int, rec: Record) -> Option
     if isinstance(rec, ProtectionRecord):
         if rec.horizon < 1:
             return f"stage {rec.stage}: protection horizon must be at least 1"
-        if rec.state is not None and tuple(rec.state.support_set(rec.horizon)) != rec.tuples:
+        # Counted first, so a wrong number of tuples is refused before the support is built.
+        if rec.state is not None and (
+            rec.state.support_size(rec.horizon) != len(rec.tuples)
+            or tuple(rec.state.support_set(rec.horizon)) != rec.tuples
+        ):
             return (
                 f"stage {rec.stage}: recorded protection tuples do not match "
                 f"the recorded state at horizon {rec.horizon}"
@@ -508,6 +508,14 @@ def check_reads_back(lines: list[str], canonical: list[str], first_line: int = 1
         if line != want:
             what = "no line" if want is None else repr(want)
             raise ValueError(f"line {lineno} does not read back exactly (expected {what})")
+
+
+def refuse(lines: list[str], canonical: list[str], first_line: int = 1) -> NoReturn:
+    """Refuse lines their one-pass reader refused, as `check_reads_back`
+    does; when none differs, that reader is stricter than the printer, and
+    the first line is named all the same."""
+    check_reads_back(lines, canonical, first_line)
+    raise ValueError(f"line {first_line} does not read back exactly")
 
 
 def check_line_breaks(text: str, lines: list[str]) -> None:

@@ -1,8 +1,8 @@
 """Session files: a registry plus named bindings, in deterministic text.
 
 A load checks the record block line by line against the least-free rule,
-never replaying it, and every record line and binding must read back exactly
-as its canonical textual form; a save writes back the record lines it read.
+never replaying or linking it, and every record line and binding must be
+exactly its canonical textual form; a save writes back the record lines it read.
 Saving the same session twice, or replaying the same command transcript
 twice, therefore produces identical bytes.
 """
@@ -15,8 +15,8 @@ from typing import Optional, Union
 from .cylinders import Value
 from .expr import poly_text
 from .polynomials import Polynomial
-from .registry import Registry, RegistryError, check_line_breaks, check_reads_back
-from .parser import read_polynomial
+from .registry import Registry, RegistryError, check_line_breaks, check_reads_back, refuse
+from .parser import read_polynomial, reprint_polynomial
 from .witnesses import IdealWitness, VanishingTrace, parse_witness_block, read_trace_lines
 
 HEADER = "prefixalg session v1"
@@ -107,15 +107,17 @@ def _parse_binding(kind: str, lines: list[str], start: int, end: int) -> Binding
     """The binding held by lines[start:end] of a file's lines; errors name
     the file line. A binding must be exactly what it prints, so that a save
     never rewrites it."""
+    body = lines[start:end]
     if kind == "polynomial":
-        value, text = read_polynomial("\n".join(lines[start:end]))
-        canonical = [text]
-    elif kind == "witness":
-        value, texts = parse_witness_block(lines[start:end], start + 1)
-        canonical = value.block(*texts)
-    elif kind == "trace":
-        value, canonical = read_trace_lines(lines[start:end], start + 1)
-    else:
-        raise RegistryError(f"unknown binding kind {kind!r}")
-    check_reads_back(lines[start:end], canonical, start + 1)
-    return value
+        text = "\n".join(body)
+        value = read_polynomial(text)
+        if value is None:
+            refuse(body, [reprint_polynomial(text)[1]], start + 1)
+        return value
+    if kind == "witness":
+        witness, texts = parse_witness_block(body, start + 1)
+        check_reads_back(body, witness.block(*texts), start + 1)
+        return witness
+    if kind == "trace":
+        return read_trace_lines(body, start + 1)
+    raise RegistryError(f"unknown binding kind {kind!r}")

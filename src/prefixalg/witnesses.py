@@ -16,8 +16,8 @@ annihilates the word), or a report that the word collapses to zero outright.
 
 A certificate verifies by the premises of the ideal argument alone, its
 expressions being derived from its fields and held to read back exactly; a
-trace verifies by re-running the induction. Nothing trusts the code that
-constructed either.
+trace, read in one pass as exactly what it prints, verifies by re-running the
+induction. Nothing trusts the code that constructed either.
 """
 
 from __future__ import annotations
@@ -46,18 +46,21 @@ from .monomials import (
     multiply,
     normal_form,
 )
-from .parser import parse_expr, parse_word, read_polynomial
+from .parser import parse_expr, parse_word, reprint_polynomial
 from .polynomials import DiagonalState, Polynomial, Scalar
 from .registry import (
     GeneratorRecord,
     LabelIndex,
     ProtectionRecord,
     Registry,
+    RegistryError,
+    check_line_breaks,
     check_reads_back,
     parse_record_line,
     record_from_fields,
     record_problem,
     record_values,
+    refuse,
     take_field,
 )
 
@@ -512,8 +515,8 @@ def parse_witness_block(lines: list[str], first_line: int) -> tuple[IdealWitness
     if not scalar:
         raise ValueError(f"line {first_line + 2}: zero compression scalar")
     alpha = parse_tuple_text(values[1])
-    root, root_text = read_polynomial(values[3])
-    source, source_text = read_polynomial(values[4])
+    root, root_text = reprint_polynomial(values[3])
+    source, source_text = reprint_polynomial(values[4])
     witness = IdealWitness(alpha=alpha, scalar=scalar, root=root, source=source)
     return witness, (root_text, source_text)
 
@@ -589,8 +592,9 @@ def verify_certificate_text(text: str, reg: Optional[Registry] = None) -> Verify
 
 
 def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
-    """The trace these lines hold; errors name the line, counting the first
-    given line as `first_line`."""
+    """The trace these lines hold, read leniently line by line to word the
+    refusal of lines the one-pass reader refused; errors name the line,
+    counting the first given line as `first_line`."""
     fields: dict[str, str] = {}
     steps: list[TraceStep] = []
     final: Optional[Tup] = None
@@ -604,7 +608,7 @@ def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
             steps.append(
                 TraceStep(
                     position=take_field(f, lineno, "pos", parse_natural),
-                    case=take_field(f, lineno, "case", str),
+                    case=take_field(f, lineno, "case", _parse_case),
                     carrier=take_field(f, lineno, "carrier", parse_tuple_text),
                     stage=take_field(f, lineno, "stage", _parse_stage),
                     adjoint=take_field(f, lineno, "adjoint", str) == "1",
@@ -636,6 +640,12 @@ def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
 
 def _parse_stage(text: str) -> Optional[int]:
     return None if text == "-" else parse_natural(text)
+
+
+def _parse_case(text: str) -> str:
+    if text not in _CASE_NAMES:
+        raise ValueError(f"unknown case {text!r}")
+    return text
 
 
 _STEP_KEYS = ("pos=", "case=", "stage=", "adjoint=", "carrier=")
@@ -705,39 +715,30 @@ def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
     return VanishingTrace(tuple(word), pivot, prot, tuple(steps), carrier)
 
 
-def _read_canonical_trace(text: str) -> Optional[VanishingTrace]:
-    """The trace whose `to_text()` is exactly text, or None for any other
-    text: only the text this refuses is parsed line by line and printed
-    back."""
+def parse_trace_text(text: str) -> VanishingTrace:
+    """The trace whose `to_text()` is exactly text, read in one pass. Any
+    other text is refused: a bad header, a line not ended by one newline,
+    then, parsed line by line, the first line that does not read back."""
     lines = text.split("\n")
-    if lines[0] != TRACE_HEADER or lines[-1]:
-        return None
-    return _read_canonical_lines(lines[1:-1])
-
-
-def _parse_trace_file(text: str) -> VanishingTrace:
-    """The trace a file holds, read line by line; errors name the line."""
+    if lines[0] == TRACE_HEADER and not lines[-1]:
+        trace = _read_canonical_lines(lines[1:-1])
+        if trace is not None:
+            return trace
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise ValueError("not a trace file (bad header)")
-    return parse_trace_lines(lines[1:], first_line=2)
+    check_line_breaks(text, lines)
+    refuse(lines, [TRACE_HEADER, *parse_trace_lines(lines[1:], first_line=2).to_lines()])
 
 
-def parse_trace_text(text: str) -> VanishingTrace:
-    """The trace a file holds: canonical text is read in one pass, any other
-    text line by line."""
-    return _read_canonical_trace(text) or _parse_trace_file(text)
-
-
-def read_trace_lines(lines: list[str], first_line: int) -> tuple[VanishingTrace, list[str]]:
-    """The trace a session binding's lines hold, and its canonical lines:
-    the lines themselves when the canonical reader takes them, so read-back
-    prints nothing; else what the trace parsed from them prints."""
+def read_trace_lines(lines: list[str], first_line: int) -> VanishingTrace:
+    """The trace whose `to_lines()` are exactly these lines, read in one
+    pass. Any other lines are parsed line by line, naming the first that
+    does not read back, counting the first given line as `first_line`."""
     trace = _read_canonical_lines(lines)
-    if trace is not None:
-        return trace, lines
-    trace = parse_trace_lines(lines, first_line)
-    return trace, trace.to_lines()
+    if trace is None:
+        refuse(lines, parse_trace_lines(lines, first_line).to_lines(), first_line)
+    return trace
 
 
 def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
@@ -763,14 +764,9 @@ def verify_trace(trace: VanishingTrace, reg: Registry) -> VerifyReport:
 
 
 def verify_trace_text(text: str, reg: Registry) -> VerifyReport:
-    """Parse, insist that the text is exactly what the parsed trace prints,
-    then verify the trace. Canonical text is read in one pass and never
-    printed back."""
-    trace = _read_canonical_trace(text)
-    if trace is None:
-        try:
-            trace = _parse_trace_file(text)
-            check_reads_back(text.splitlines(), trace.to_text().splitlines())
-        except ValueError as exc:
-            return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
+    """Read the trace text holds (`parse_trace_text`), then verify it."""
+    try:
+        trace = parse_trace_text(text)
+    except (ValueError, RegistryError) as exc:
+        return VerifyReport(ok=False, problems=[f"malformed trace: {exc}"])
     return verify_trace(trace, reg)

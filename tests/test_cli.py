@@ -6,7 +6,9 @@ from pathlib import Path
 
 from prefixalg import cli
 from prefixalg.cli import main
+from prefixalg.cylinders import SequenceDesc
 from prefixalg.monomials import V, projection
+from prefixalg.polynomials import DiagonalState
 from prefixalg.session import Session
 from prefixalg.witnesses import vanishing_witness
 
@@ -387,10 +389,15 @@ def test_session_trace_binding_error_names_file_line(tmp_path, capsys):
     run("--session", str(session), "lemma2", "0", f"P({pivot})", "--name", "t")
     lines = session.read_text().splitlines()
     step = next(i for i, line in enumerate(lines) if line.startswith("step "))
+    unknown = list(lines)
+    unknown[step] = unknown[step].replace(" case=base", " case=bogus")
     lines[step] = lines[step].replace(" case=", " case= x")
     text = "\n".join(lines) + "\n"
     assert session_error(tmp_path, capsys, text) == (
         2, "", f"error: line {step + 1}: malformed field 'xbase'\n"
+    )
+    assert session_error(tmp_path, capsys, "\n".join(unknown) + "\n") == (
+        2, "", f"error: line {step + 1}: step record field case: unknown case 'bogus'\n"
     )
 
 
@@ -649,6 +656,12 @@ def test_verify_trace_names_missing_key_and_bad_field(tmp_path, capsys):
         "",
     )
 
+    def unknown_case(lines):
+        lines[late] = lines[late].replace("case=late-dominates", "case=bogus")
+    assert verify_edited(tmp_path, capsys, session, trace_path, unknown_case) == (
+        1, f"problem malformed trace: line {late + 1}: step record field case: unknown case 'bogus'\n", ""
+    )
+
     def no_carrier(lines):
         lines[-1] = "final depth=2"
     assert verify_edited(tmp_path, capsys, session, trace_path, no_carrier) == (
@@ -766,6 +779,20 @@ def test_session_protection_is_judged_by_its_line(tmp_path, capsys):
     for line, message in cases:
         text = f"prefixalg session v1\n{line}\n"
         assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+
+
+def test_refused_protection_costs_no_more_than_reading_it(tmp_path, capsys, monkeypatch):
+    """A short protection line whose horizon asks for a support of a
+    million levels is refused by counting: it builds the state's one head,
+    not its support."""
+    built, real = [], SequenceDesc.head
+    monkeypatch.setattr(SequenceDesc, "head", lambda x, n: built.append(n) or real(x, n))
+    monkeypatch.setattr(DiagonalState, "support_set", lambda rho, n: built.append(("support", n)))
+    horizon = 10**6
+    text = f"prefixalg session v1\nprotection stage=0 horizon={horizon} tuples= state=1@(5)/0\n"
+    message = f"stage 0: recorded protection tuples do not match the recorded state at horizon {horizon}"
+    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+    assert built == [2]
 
 
 def test_session_witness_binding_errors_name_file_line(tmp_path, capsys):

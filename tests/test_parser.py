@@ -12,7 +12,9 @@ from prefixalg.expr import (
     print_expr,
 )
 from prefixalg.monomials import V, adjoint
-from prefixalg.parser import ParseError, _Parser, parse_expr, parse_word, token_position, tokenize
+from prefixalg.parser import (
+    ParseError, _Parser, parse_expr, parse_word, read_polynomial, token_position, tokenize,
+)
 from prefixalg.polynomials import Polynomial, Scalar
 from prefixalg.registry import Registry
 from prefixalg import expr, parser as parser_module, witnesses
@@ -329,13 +331,18 @@ def test_canonical_reader_equals_parse_print_compare_on_edited_texts():
         texts.extend(fields)
     edited = {edit(rng, rng.choice(texts)) for _ in range(6000)}
     accepted = refused = 0
-    for text in texts + sorted(edited - set(texts)):
+    for text in texts + ["0"] + sorted(edited - set(texts) - {"0"}):
         tree = descent(text)
         if tree is None:
             with pytest.raises(ParseError):
                 parse_expr(text)
+            assert read_polynomial(text) is None
             continue
         node, reference = parse_expr(text), eval_expr(tree)
+        # The file reader takes exactly the prints, zero's "0" included.
+        read = read_polynomial(text)
+        assert (read is not None) == (poly_text(reference) == text), text
+        assert read is None or read == reference
         if isinstance(node, Polynomial):
             # Read in one pass: the text is exactly the print of its value.
             accepted += 1

@@ -1,11 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from prefixalg import registry, witnesses
-from prefixalg.cylinders import SequenceDesc, extends
+from prefixalg.cylinders import SequenceDesc, extends, parse_tuple_text
 from prefixalg.monomials import V, adjoint, normal_form
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
 from prefixalg.registry import (
@@ -14,6 +15,11 @@ from prefixalg.registry import (
     Registry,
     RegistryError,
     audit_records,
+    check_reads_back,
+    parse_record_line,
+    record_from_fields,
+    record_problem,
+    take_field,
 )
 from prefixalg.witnesses import (
     IdealWitness,
@@ -234,17 +240,41 @@ def test_replay_detects_tampering():
         assert str(exc.value) == f"line 1 does not read back exactly (expected {text.strip()!r})"
 
 
-def load_outcome(text):
+def load_outcome(text, load=Registry.from_text):
     try:
-        return Registry.from_text(text).records
+        return load(text).records
     except (RegistryError, ValueError) as exc:
         return type(exc), str(exc)
 
 
+def replay_load(text):
+    """The reference load: every line read field by field, a generator
+    line's request linked, a protection judged by `record_problem`, and each
+    line held to read back exactly as its record prints."""
+    reg = Registry()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            raise RegistryError(f"line {lineno}: blank or comment line in the record block")
+        fields = parse_record_line(line, lineno)
+        if fields["_kind"] == "generator":
+            field = partial(take_field, fields, lineno)
+            rec = reg.link(field("req_dom", parse_tuple_text), field("req_ran", parse_tuple_text))
+        else:
+            rec = record_from_fields(fields, lineno)
+            problem = record_problem(None, len(reg.records), rec)
+            if problem:
+                raise RegistryError(f"line {lineno}: {problem}")
+            reg.records.append(rec)
+        check_reads_back([raw], [rec.to_line()], lineno)
+    return reg
+
+
 def test_generator_lines_read_by_position_load_as_field_by_field(monkeypatch):
-    """A generator line with its fields in print order is read by position;
-    every one- or two-character edit of a log loads, or is refused with its
-    message, exactly as reading every line field by field does."""
+    """A generator line is accepted only as read by position; every one- or
+    two-character edit of a log loads, or is refused with its message,
+    exactly as the reference load that links each request does, and no
+    load links."""
     rng = random.Random("generator-lines")
     reg = Registry()
     for _ in range(12):
@@ -262,9 +292,11 @@ def test_generator_lines_read_by_position_load_as_field_by_field(monkeypatch):
             t = t[:i] + rng.choice(["", rng.choice(alphabet), rng.choice(alphabet) + t[i]]) + t[i + 1:]
         edited.append(t)
     edited.append(text.replace("req_dom=(", "req_dom=(1" + "0" * 4300 + ",", 1))
+    links = count_calls(monkeypatch, Registry, "link")
     by_position = [load_outcome(t) for t in edited]
-    monkeypatch.setattr(registry, "_read_issued", lambda line, pos, index: None)
-    assert [load_outcome(t) for t in edited] == by_position
+    assert links == []
+    monkeypatch.undo()
+    assert [load_outcome(t, replay_load) for t in edited] == by_position
     kinds = {re.sub(r"line \d+|'.*'|\d+", "", outcome[1]) if isinstance(outcome, tuple) else "loaded"
              for outcome in by_position}
     assert len(kinds) > 10, kinds
@@ -300,7 +332,8 @@ def test_protection_blocking_the_least_free_label_loads():
 def test_one_pass_load_matches_replay(seed, monkeypatch):
     """Every generator line of a genuine log is accepted by the one-pass
     reader, as exactly what its record prints, and the registry loaded is
-    the one that replaying the log through `link` builds."""
+    the one that the reference load, replaying the log through `link`,
+    builds."""
     reg = blocking_log(seed)
     text = reg.to_text()
     accepted = []
@@ -314,9 +347,7 @@ def test_one_pass_load_matches_replay(seed, monkeypatch):
 
     monkeypatch.setattr(registry, "_read_issued", reading)
     loaded = Registry.from_text(text).records
-    monkeypatch.setattr(registry, "_read_issued", lambda line, pos, index: None)
-    replay = Registry.from_text(text).records
-    assert loaded == replay == reg.records
+    assert loaded == replay_load(text).records == reg.records
     assert len(accepted) == sum(isinstance(rec, GeneratorRecord) for rec in reg.records)
     assert all(line == rec.to_line() for line, rec in accepted)
 

@@ -2,8 +2,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from prefixalg import parser, registry, witnesses
 
 from prefixalg.cylinders import SequenceDesc, extends, format_tuple
 from prefixalg.expr import eval_expr, poly_text
@@ -19,7 +22,7 @@ from prefixalg.monomials import (
 )
 from prefixalg.parser import parse_expr
 from prefixalg.polynomials import DiagonalState, Polynomial, Scalar
-from prefixalg.registry import GeneratorRecord, ProtectionRecord, Registry, audit_records
+from prefixalg.registry import GeneratorRecord, ProtectionRecord, Registry, RegistryError, audit_records
 from prefixalg.witnesses import (
     CASES,
     CASE_BASE,
@@ -29,6 +32,7 @@ from prefixalg.witnesses import (
     CASE_PREFIX_REWRITE,
     CASE_PROJECTION,
     HorizonError,
+    IdealWitness,
     PrimenessCertificate,
     SoundnessError,
     TRACE_HEADER,
@@ -46,10 +50,10 @@ from prefixalg.witnesses import (
     verify_certificate_text,
     verify_trace,
     verify_trace_text,
-    _read_canonical_trace,
     parse_trace_lines,
     read_trace_lines,
 )
+from prefixalg.session import Session
 from test_acceptance import rand_state, rand_tuple
 
 P = Polynomial.projection
@@ -173,6 +177,16 @@ def test_certificate_text_round_trip_and_tampering():
         "scalar 1", "scalar 3", 1
     )
     assert not verify_certificate_text(tampered, reg)
+
+    # Forged objects, printed: each reads back and fails one premise alone.
+    # P((9)) compresses to zero on alpha, so only the source check fires.
+    forged_w1 = IdealWitness(w1.source + P((9,)), w1.alpha, w1.scalar, w1.root)
+    other = reg.link((7,), (8,))  # rule-valid and registered, for another request
+    for forged, problem in [
+        (PrimenessCertificate(forged_w1, w2, cert.generator), "witness1: source is not root'*root"),
+        (PrimenessCertificate(w1, w2, other), "generator was not requested for the witness cylinders"),
+    ]:
+        assert verify_certificate_text(forged.to_text(), reg).problems == [problem]
 
 
 def test_equal_but_not_canonical_fields_are_refused():
@@ -570,6 +584,12 @@ def test_trace_text_round_trip_and_verify():
     assert not verify_trace_text(tampered, reg)
     assert not verify_trace_text(text, Registry())
 
+    # A trace forged for a word that holds the pivot but multiplies to zero.
+    zero = vanishing_witness(reg, prot, pivot, [projection((7,)), projection(pivot)])
+    assert isinstance(zero, ZeroReport)
+    forged = VanishingTrace(zero.word, zero.pivot, zero.prot_stage, zero.steps, pivot)
+    assert verify_trace_text(forged.to_text(), reg).problems == ["the recorded word normalizes to zero"]
+
 
 def producer_traces():
     """Traces the producer emits on criterion 5's scenes and on the walk
@@ -624,21 +644,25 @@ def test_canonical_trace_reader_reads_every_produced_trace(monkeypatch):
         text = trace.to_text()
         lines = trace.to_lines()
         monkeypatch.setattr(TraceStep, "to_line", counting)
-        assert _read_canonical_trace(text) == trace
         assert parse_trace_text(text) == trace
-        assert read_trace_lines(lines, 2) == (trace, lines)
+        assert read_trace_lines(lines, 2) == trace
         assert verify_trace_text(text, reg) == verify_trace(trace, reg)
         monkeypatch.undo()
     assert calls["to_line"] == 0
-    # The count sees a trace that is not its own print.
+    # The count sees a trace that is not its own print; a missing final
+    # newline is refused before any line is parsed.
     monkeypatch.setattr(TraceStep, "to_line", counting)
-    assert verify_trace_text(text[:-1], reg) == verify_trace(trace, reg)
+    assert not verify_trace_text(text.replace("depth=", "depth=9"), reg)
+    assert calls["to_line"] == len(trace.steps)
+    assert verify_trace_text(text[:-1], reg).problems == [
+        f"malformed trace: line {len(lines) + 1} does not end in a newline"
+    ]
     assert calls["to_line"] == len(trace.steps)
 
 
 def reference_trace(text):
-    """Parse, print and compare: the trace text holds when it prints back
-    to exactly text, else None."""
+    """The reference reading. Parse line by line, print and compare: the
+    trace text holds when it prints back to exactly text, else None."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         return None
@@ -684,17 +708,17 @@ def test_canonical_trace_reader_equals_parse_print_compare_on_edited_texts():
         edits = [edit_text(rng, text) for _ in range(20)]
         edits = [edit_text(rng, e) if rng.random() < 0.5 else e for e in edits]
         for edited in edits + list(near_misses(text)):
-            got, want = _read_canonical_trace(edited), reference_trace(edited)
-            if got is not None:
+            want = reference_trace(edited)
+            try:
+                got = parse_trace_text(edited)
+            except (ValueError, RegistryError):
+                # Both refuse; an unknown case name among them.
+                assert want is None, edited
+                unknown = set(re.findall(r"case=([^ \n]*)", edited)) - set(CASES)
+                outcomes["unknown case" if unknown else "refused"] += 1
+            else:
                 assert got == want and got.to_text() == edited, edited
                 outcomes["taken"] += 1
-            elif want is not None:
-                # The reader leaves an unknown case name to the line-by-line
-                # reading, which takes it as written for verify to refuse.
-                assert any(step.case not in CASES for step in want.steps), edited
-                outcomes["unknown case"] += 1
-            else:
-                outcomes["refused"] += 1
     assert min(outcomes["taken"], outcomes["unknown case"], outcomes["refused"]) > 20, outcomes
 
 
@@ -712,7 +736,7 @@ def test_non_canonical_trace_texts_keep_their_messages():
     malformed = "malformed trace: "
     cases = [
         (text.replace("case=late-dominates", "case=late-dominated"),
-         ["re-derived trace differs from the recorded one"]),
+         [malformed + "line 6: step record field case: unknown case 'late-dominated'"]),
         (text.replace("depth=2", "depth=3"),
          [malformed + "line 7 does not read back exactly (expected 'final carrier=(6,1) depth=2')"]),
         (text.replace("V((0,1);(6,1))", "V((0,1);(6))"),
@@ -720,11 +744,75 @@ def test_non_canonical_trace_texts_keep_their_messages():
         (text.replace("final carrier=(6,1)", f"final carrier=(6,{long})"),
          [malformed + f"line 7: final record field carrier: label too long (4301 digits) "
                       f"in tuple '(6,{long})'"]),
-        (text[:-1], []),
+        (text[:-1], [malformed + "line 7 does not end in a newline"]),
+        (text.replace("\n", "\r\n", 2), [malformed + "line 1 ends in '\\r\\n', not a newline"]),
     ]
     for edited, problems in cases:
-        assert _read_canonical_trace(edited) is None
+        with pytest.raises((ValueError, RegistryError)) as exc:
+            parse_trace_text(edited)
+        assert [malformed + str(exc.value)] == problems
         assert verify_trace_text(edited, reg).problems == problems
+
+
+def golden_files():
+    """The files the golden CLI transcript leaves, by name, as their bytes."""
+    files, name = {}, None
+    for line in (Path(__file__).parent / "data" / "cli_golden.txt").read_text("utf-8").splitlines():
+        if line.startswith("== file "):
+            name = line[len("== file "):-len(" ==")]
+            files[name] = ""
+        elif name and line.startswith("file| "):
+            files[name] += line[len("file| "):] + "\n"
+    return files
+
+
+def test_genuine_files_are_read_by_the_one_pass_readers(monkeypatch):
+    """Every genuine file is accepted by its one-pass readers, so a reader
+    stricter than its printer fails here: the session, certificates and
+    trace that the golden transcript writes and verifies, every producer
+    trace, and a session binding zero. No trace or generator line is parsed
+    line by line, no polynomial by the descent, and nothing is linked. The
+    descent reads only a witness's scalar field and the record-line parser
+    only a certificate's generator line: a witness block and a certificate
+    are held to read back as a whole."""
+    files = golden_files()
+    produced = list(producer_traces())
+    zero = Session()
+    zero.bind("z", P((1,)) - P((1,)))
+    zero_text = zero.to_text()
+    assert zero_text.endswith("binding z polynomial\n0\nend binding\n")
+    calls = Counter()
+    descended, record_lines = [], []
+
+    def spy(owner, name, seen=None):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            if seen is not None:
+                seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    spy(witnesses, "parse_trace_lines")
+    spy(registry.Registry, "link")
+    spy(parser, "_Parser", descended)
+    spy(registry, "parse_record_line", record_lines)
+    spy(witnesses, "parse_record_line", record_lines)
+    session = Session.from_text(files["s.txt"])
+    assert Session.from_text(zero_text).bindings == {"z": Polynomial()}
+    assert verify_trace_text(files["trace.txt"], session.registry)
+    for name in ("cert.txt", "cert-complex.txt"):
+        assert verify_certificate_text(files[name], session.registry)
+    for reg, trace in produced:
+        assert parse_trace_text(trace.to_text()) == read_trace_lines(trace.to_lines(), 2) == trace
+    assert calls["parse_trace_lines"] == calls["link"] == 0
+    scalars = {line[len("scalar "):] for text in files.values() for line in text.splitlines()
+               if line.startswith("scalar ")}
+    assert descended and set(descended) <= scalars
+    generators = [line for line in record_lines if line.startswith("generator")]
+    assert generators == [files[name].splitlines()[1] for name in ("cert.txt", "cert-complex.txt")]
 
 
 def test_poly_text_in_witness_blocks_round_trips():
