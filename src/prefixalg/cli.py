@@ -306,15 +306,12 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         # str() of a KeyError is the repr of its argument; print the message.
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return USAGE
-    except (ParseError, UsageError, ValueError, RegistryError) as exc:
+    except (ParseError, UsageError, ValueError, RegistryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (WitnessError, SoundnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except (MemoryError, RecursionError) as exc:
         # A limit of this process, not a bug: one line, no traceback.
         detail = f": {exc}" if str(exc) else ""

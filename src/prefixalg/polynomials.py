@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd as _gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cylinders import Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
 from .monomials import V, ZERO, Monomial, act, adjoint, format_monomial, multiply
@@ -692,31 +692,29 @@ class DiagonalState:
         return Scalar.of(sum(w for x, w in self.points if member(x, t)))
 
     def support_set(self, max_len: int) -> list[Tup]:
-        """All tuples of length 1..max_len whose cylinder carries mass.
-
-        These are exactly the prefixes (tail-completed) of the support
-        points, one chain per point and level.
-        """
+        """All tuples of length 1..max_len whose cylinder carries mass: the
+        tail-completed prefixes of the support points, shortest first."""
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
-        out: set[Tup] = set()
-        for x, _ in self.points:
-            head = x.head(max_len)
-            out.update(head[:n] for n in range(1, max_len + 1))
-        return sorted(out, key=lambda t: (len(t), t))
+        return [t for level in self._levels(max_len) for t in level]
 
-    def support_size(self, max_len: int) -> int:
-        """`len(self.support_set(max_len))`, counted without building it.
-        Distinct points differ one level past the longest prefix. Sorted by
-        their heads there, each point after the first adds one tuple per
-        level past its common prefix with the point before it."""
-        depth = max(len(x.prefix) for x, _ in self.points) + 1
-        heads = sorted(x.head(depth) for x, _ in self.points)
-        size = max_len
-        for a, b in zip(heads, heads[1:]):
-            common = next(n for n, (p, q) in enumerate(zip(a, b)) if p != q)
-            size += max(0, max_len - common)
-        return size
+    def is_support(self, max_len: int, tuples: tuple[Tup, ...]) -> bool:
+        """Whether tuples is `support_set(max_len)`, compared one level at a
+        time and refused at the first level that differs, so a wrong list
+        costs about what reading it cost, whatever max_len asks for."""
+        start = 0
+        for level in self._levels(max_len):
+            if tuples[start:start + len(level)] != level:
+                return False
+            start += len(level)
+        return start == len(tuples)
+
+    def _levels(self, max_len: int) -> Iterator[tuple[Tup, ...]]:
+        """The support's tuples of each length 1..max_len, each level sorted."""
+        heads = [()] * len(self.points)
+        for n in range(1, max_len + 1):
+            heads = [h + (x.coord(n),) for h, (x, _) in zip(heads, self.points)]
+            yield tuple(sorted(set(heads)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DiagonalState) and sorted(

@@ -437,11 +437,7 @@ def record_problem(index: Optional[LabelIndex], pos: int, rec: Record) -> Option
     if isinstance(rec, ProtectionRecord):
         if rec.horizon < 1:
             return f"stage {rec.stage}: protection horizon must be at least 1"
-        # Counted first, so a wrong number of tuples is refused before the support is built.
-        if rec.state is not None and (
-            rec.state.support_size(rec.horizon) != len(rec.tuples)
-            or tuple(rec.state.support_set(rec.horizon)) != rec.tuples
-        ):
+        if rec.state is not None and not rec.state.is_support(rec.horizon, rec.tuples):
             return (
                 f"stage {rec.stage}: recorded protection tuples do not match "
                 f"the recorded state at horizon {rec.horizon}"

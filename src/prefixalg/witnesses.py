@@ -600,8 +600,6 @@ def parse_trace_lines(lines: list[str], first_line: int = 1) -> VanishingTrace:
     final: Optional[Tup] = None
     for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
-        if not line:
-            continue
         key, _, value = line.partition(" ")
         if key == "step":
             f = parse_record_line(line, lineno)

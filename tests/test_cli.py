@@ -782,17 +782,31 @@ def test_session_protection_is_judged_by_its_line(tmp_path, capsys):
 
 
 def test_refused_protection_costs_no_more_than_reading_it(tmp_path, capsys, monkeypatch):
-    """A short protection line whose horizon asks for a support of a
-    million levels is refused by counting: it builds the state's one head,
-    not its support."""
-    built, real = [], SequenceDesc.head
-    monkeypatch.setattr(SequenceDesc, "head", lambda x, n: built.append(n) or real(x, n))
-    monkeypatch.setattr(DiagonalState, "support_set", lambda rho, n: built.append(("support", n)))
-    horizon = 10**6
-    text = f"prefixalg session v1\nprotection stage=0 horizon={horizon} tuples= state=1@(5)/0\n"
-    message = f"stage 0: recorded protection tuples do not match the recorded state at horizon {horizon}"
-    assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
-    assert built == [2]
+    """A protection line is refused at the first level of its support that
+    differs from its tuples: a short line asking for a million levels reads
+    one coordinate, and a long point prefix at horizon 1 reads only the
+    first coordinate of each point. The support is never built whole."""
+    asked, real = [], SequenceDesc.coord
+    monkeypatch.setattr(SequenceDesc, "coord", lambda x, i: asked.append(i) or real(x, i))
+    monkeypatch.setattr(DiagonalState, "support_set", lambda rho, n: asked.append(("support", n)))
+    many = ",".join(["7"] * 10**5)
+    points = ";".join([f"1/1001@({i})/0" for i in range(1, 1001)] + [f"1/1001@({many})/0"])
+    heads = "|".join(f"({i})" for i in range(1, 1001))
+    for horizon, tuples, state, coords in [
+        (10**6, "", "1@(5)/0", [1]),
+        (10**6, "(1)|(1)|(1)", "1@(5)/0", [1]),
+        (1, heads[:-len("|(1000)")], points, [1] * 1001),
+    ]:
+        asked.clear()
+        line = f"protection stage=0 horizon={horizon} tuples={tuples} state={state}"
+        message = f"stage 0: recorded protection tuples do not match the recorded state at horizon {horizon}"
+        text = f"prefixalg session v1\n{line}\n"
+        assert session_error(tmp_path, capsys, text) == (2, "", f"error: line 2: {message}\n")
+        assert asked == coords
+    asked.clear()
+    text = f"prefixalg session v1\nprotection stage=0 horizon=1 tuples={heads} state={points}\n"
+    assert session_error(tmp_path, capsys, text)[0] == 0
+    assert set(asked) == {1}
 
 
 def test_session_witness_binding_errors_name_file_line(tmp_path, capsys):

@@ -285,7 +285,10 @@ def test_support_set_slices_one_head_per_point():
         for horizon in range(1, 7):
             want = {x.head(n) for x in points for n in range(1, horizon + 1)}
             assert rho.support_set(horizon) == sorted(want, key=lambda t: (len(t), t))
-            assert rho.support_size(horizon) == len(want)
+            support = tuple(sorted(want, key=lambda t: (len(t), t)))
+            assert rho.is_support(horizon, support)
+            for wrong in (support[:-1], support[1:], support + support[-1:], support[::-1]):
+                assert not rho.is_support(horizon, wrong) or wrong == support
 
 
 def test_support_set_is_exactly_where_mass_sits():
