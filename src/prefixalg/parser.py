@@ -33,7 +33,7 @@ from .expr import (
     poly_text,
 )
 from .monomials import V, Monomial
-from .polynomials import ONE, Polynomial, Scalar
+from .polynomials import ONE, Polynomial, Scalar, _read_ratio
 
 
 class ParseError(ValueError):
@@ -240,12 +240,6 @@ _TERM = re.compile(
 )
 
 
-def _ratio(text: str) -> tuple[int, int]:
-    """A literal "n" or "n/d" as its numerator and denominator."""
-    num, _, den = text.partition("/")
-    return int(num), int(den) if den else 1
-
-
 def _read_canonical(text: str) -> Optional[Polynomial]:
     """The polynomial p with `poly_text(p) == text`, or None when text is not
     such a print (zero's "0" included). Checks, term by term, everything the
@@ -278,11 +272,11 @@ def _read_canonical(text: str) -> Optional[Polynomial]:
                 c = ONE
             else:
                 if real is not None:
-                    (a, d), (b, e) = _ratio(real), (0, 1)
+                    (a, d), (b, e) = _read_ratio(real), (0, 1)
                 elif imag is not None:
-                    (a, d), (b, e) = (0, 1), _ratio(imag or "1")
+                    (a, d), (b, e) = (0, 1), _read_ratio(imag or "1")
                 else:
-                    (a, d), (b, e) = _ratio(cre), _ratio(csign + (cim or "1"))
+                    (a, d), (b, e) = _read_ratio(cre), _read_ratio(csign + (cim or "1"))
                 if not d or not e:
                     return None
                 c = Scalar.ratio(a * e, b * d, d * e)

@@ -201,6 +201,34 @@ ONE = _raw(1, 0, 1)
 _ZERO_SCALAR = _raw(0, 0, 1)
 
 
+def read_scalar(text: str) -> Optional[Scalar]:
+    """The scalar s with `s.to_text() == text`, or None. The text is split
+    at the sign of its imaginary part, each part is read loosely as "n" or
+    "n/d", and the print decides."""
+    if text[-1:] == "i":
+        k = max(text.rfind("+"), text.rfind("-"), 0)
+        real, imag = text[:k] or "0", text[k:-1]
+        if imag in ("", "+", "-"):
+            imag += "1"
+    else:
+        real, imag = text, "0"
+    try:
+        a, d = _read_ratio(real)
+        b, e = _read_ratio(imag)
+        if d <= 0 or e <= 0:
+            return None
+        s = _reduced(a * e, b * d, d * e)
+        return s if s.to_text() == text else None
+    except ValueError:  # not a number, or more digits than `int` converts or prints
+        return None
+
+
+def _read_ratio(text: str) -> tuple[int, int]:
+    """The numerator and denominator of "n" or "n/d"."""
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1
+
+
 def add_into(res: dict[V, Scalar], terms: dict[V, Scalar], negate: bool = False) -> None:
     """Add `terms`, negated if asked, into the canonical dict `res` in place.
     A monomial whose coefficients cancel leaves `res`."""
@@ -416,29 +444,36 @@ class Polynomial:
         # Every index tuple t has length `level` and no monomial tuple is
         # longer, so V(a, b) sends the point t/pad to (b + t[len(a):])/pad
         # when t begins with a, and kills it otherwise: `act` on tuples.
+        # The terms are looked up by their dom, one prefix length at a time.
         tuples = index.tuples
         pos = {t: i for i, t in enumerate(tuples)}
-        by_first, everywhere = _by_first_label(
-            (m.dom, m.ran, c) for m, c in self.terms.items()
-        )
+        by_dom: dict[Tup, list[tuple[Tup, Scalar]]] = {}
+        for m, c in self.terms.items():
+            by_dom.setdefault(m.dom, []).append((m.ran, c))
+        lengths = {len(dom) for dom in by_dom}
         nonzeros: list[dict[int, Scalar]] = [{} for _ in tuples]
         for j, t in enumerate(tuples):
-            for rules in (by_first.get(t[0], ()) if t else (), everywhere):
-                for dom, ran, c in rules:
-                    k = len(dom)
-                    if t[:k] == dom:
-                        i = pos.get(ran + t[k:])
+            for k in lengths:
+                terms = by_dom.get(t[:k])
+                if terms:
+                    tail = t[k:]
+                    for ran, c in terms:
+                        i = pos.get(ran + tail)
                         if i is not None:
                             entries = nonzeros[i]
                             prev = entries.get(j)
-                            entries[j] = c if prev is None else prev + c
+                            s = c if prev is None else prev + c
+                            if s:
+                                entries[j] = s
+                            else:
+                                del entries[j]
         rows = []
         for entries in nonzeros:
             row = [_ZERO_SCALAR] * len(tuples)
             for j, c in entries.items():
                 row[j] = c
             rows.append(tuple(row))
-        return FragmentMatrix(index=index, rows=tuple(rows))
+        return FragmentMatrix(index=index, rows=tuple(rows), nonzeros=nonzeros)
 
 
 def _by_first_label(rules: Iterable[tuple]) -> tuple[dict[int, list[tuple]], list[tuple]]:
@@ -475,73 +510,96 @@ def fragment_index(polys: Iterable[Polynomial], level: int) -> FragmentIndex:
     """Close the tuples of the given polynomials, padded to `level`, under
     all their prefix rewrites (in both directions).
     """
-    polys = list(polys)
-    labels: set[int] = set()
+    # The polynomials' tuples, and each tuple's images under one rewrite. A
+    # projection's rule (t, t) maps every tuple to itself, so none is kept.
+    tuples: set[Tup] = set()
+    images: dict[Tup, set[Tup]] = {}
     for p in polys:
-        labels |= p.labels()
+        for m in p.terms:
+            dom, ran = m.dom, m.ran
+            tuples.add(dom)
+            if dom != ran:
+                tuples.add(ran)
+                images.setdefault(dom, set()).add(ran)
+                images.setdefault(ran, set()).add(dom)
+    if any(len(t) > level for t in tuples):
+        raise ValueError("fragment level is below the longest tuple present")
+    labels = set(chain.from_iterable(tuples))
     pad = 0
     while pad in labels:
         pad += 1
-    rewrites: set[tuple[Tup, Tup]] = set()
-    seeds: set[Tup] = set()
-    for p in polys:
-        if level < p.max_tuple_len():
-            raise ValueError("fragment level is below the longest tuple present")
-        for m in p.terms:
-            rewrites.add((m.dom, m.ran))
-            rewrites.add((m.ran, m.dom))
-            seeds.add(m.dom + (pad,) * (level - len(m.dom)))
-            seeds.add(m.ran + (pad,) * (level - len(m.ran)))
-    by_first, everywhere = _by_first_label(rewrites)
+    seeds = {t + (pad,) * (level - len(t)) for t in tuples}
+    lengths = {len(src) for src in images}
     closed: set[Tup] = set(seeds)
     frontier = list(seeds)
     while frontier:
         t = frontier.pop()
-        for rules in (by_first.get(t[0], ()) if t else (), everywhere):
-            for src, dst in rules:
-                k = len(src)
-                if t[:k] == src:
-                    img = dst + t[k:]
+        for k in lengths:
+            dsts = images.get(t[:k])
+            if dsts:
+                tail = t[k:]
+                for dst in dsts:
+                    img = dst + tail
                     if img not in closed:
                         closed.add(img)
                         frontier.append(img)
     return FragmentIndex(tuples=tuple(sorted(closed)), level=level, pad=pad)
 
 
-class FragmentMatrix(Frozen):
+class _NonzeroRows:
+    """The slot where a FragmentMatrix keeps its rows' nonzero entries:
+    outside its fields, so equality, hashing, repr and pickling see only
+    the index and the rows."""
+
+    __slots__ = ("nonzeros",)
+
+
+class FragmentMatrix(Frozen, _NonzeroRows):
     """Exact matrix of a polynomial on a finite family of padded cylinders.
 
     rows[i][j] is the coefficient of the i-th index point in the image of
-    the j-th index point (output row, input column).
+    the j-th index point (output row, input column). `fragment_matrix`
+    also hands over each row's nonzero entries by column, which the
+    verdicts read; a matrix built from its rows alone derives them on each
+    verdict.
     """
 
     __slots__ = ("index", "rows")
 
-    def __init__(self, index: FragmentIndex, rows: tuple[tuple[Scalar, ...], ...]) -> None:
+    def __init__(
+        self, index: FragmentIndex, rows: tuple[tuple[Scalar, ...], ...], *,
+        nonzeros: Optional[list[dict[int, Scalar]]] = None,
+    ) -> None:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nonzeros", nonzeros)
 
     def size(self) -> int:
         return len(self.index.tuples)
 
+    def _nonzero_rows(self) -> list[dict[int, Scalar]]:
+        return _nonzeros(self.rows) if self.nonzeros is None else self.nonzeros
+
     def is_hermitian(self) -> bool:
-        return _hermitian(_nonzeros(self.rows))
+        return _hermitian(self._nonzero_rows())
 
     def is_positive_semidefinite(self) -> bool:
         """Exact semidefiniteness, judged block by block.
 
         The matrix is block diagonal over the connected components of its
-        nonzero pattern, and it is PSD iff every block is. Each block is
+        nonzero pattern, and it is PSD iff every block is. A block of one or
+        two indices is judged in closed form (`_small_psd`). A larger one is
         cleared of denominators and goes through fraction-free (Bareiss)
         elimination over the Gaussian integers: a Hermitian matrix is PSD
         iff every pivot is real and nonnegative and a zero pivot comes with
         a zero row, which then drops out; no floating point involved.
         """
-        nonzeros = _nonzeros(self.rows)
+        nonzeros = self._nonzero_rows()
         if not _hermitian(nonzeros):
             return False
         for block in _blocks(nonzeros):
-            if not _bareiss_psd(nonzeros, block):
+            judge = _bareiss_psd if len(block) > 2 else _small_psd
+            if not judge(nonzeros, block):
                 return False
         return True
 
@@ -596,6 +654,27 @@ def _blocks(nonzeros: list[dict[int, Scalar]]) -> list[list[int]]:
                     frontier.append(j)
         blocks.append(sorted(block))
     return blocks
+
+
+def _small_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
+    """Closed-form verdict on a Hermitian block of one or two indices: [x]
+    is PSD iff x >= 0, and [[x, z], [conj(z), y]] iff x >= 0, y >= 0 and
+    x*y >= |z|^2. A two-index block is connected, so z is nonzero, and then
+    x >= 0 and x*y >= |z|^2 > 0 already force y > 0. A diagonal entry of a
+    Hermitian matrix is real, and the last inequality is compared as integer
+    cross-products of the triples: (x.a/x.d) * (y.a/y.d) >= (z.a^2 + z.b^2)
+    / z.d^2 with every d > 0."""
+    i = block[0]
+    x = nonzeros[i].get(i, _ZERO_SCALAR)
+    if len(block) == 1:
+        return x.a >= 0
+    j = block[1]
+    y = nonzeros[j].get(j, _ZERO_SCALAR)
+    z = nonzeros[i][j]
+    return (
+        x.a >= 0
+        and x.a * y.a * z.d * z.d >= (z.a * z.a + z.b * z.b) * x.d * y.d
+    )
 
 
 def _bareiss_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
@@ -702,6 +781,8 @@ class DiagonalState:
         """Whether tuples is `support_set(max_len)`, compared one level at a
         time and refused at the first level that differs, so a wrong list
         costs about what reading it cost, whatever max_len asks for."""
+        if max_len < 1:
+            raise ValueError("max_len must be at least 1")
         start = 0
         for level in self._levels(max_len):
             if tuples[start:start + len(level)] != level:

@@ -47,7 +47,7 @@ from .monomials import (
     normal_form,
 )
 from .parser import parse_expr, parse_word, reprint_polynomial
-from .polynomials import DiagonalState, Polynomial, Scalar
+from .polynomials import ONE, DiagonalState, Polynomial, Scalar, read_scalar
 from .registry import (
     GeneratorRecord,
     LabelIndex,
@@ -106,7 +106,7 @@ class IdealWitness(Value):
     def block(self, root: str, source: str) -> list[str]:
         """The witness block, given the canonical texts of root and source."""
         alpha = format_tuple(self.alpha)
-        certificate = [literal_text(Scalar(1) / self.scalar), f"P({alpha})",
+        certificate = [literal_text(ONE / self.scalar), f"P({alpha})",
                        factor_text(self.root, root, adjoint=True), factor_text(self.root, root), f"P({alpha})"]
         return [
             "witness",
@@ -188,7 +188,7 @@ class PrimenessCertificate(Value):
         src1, src2 = factor_text(w1.source, source1), factor_text(w2.source, source2)
         v = format_monomial(rec.monomial())
         dom, ran, a1, a2 = (f"P({format_tuple(t)})" for t in (rec.dom, rec.ran, w1.alpha, w2.alpha))
-        s1, s2 = (literal_text(Scalar(1) / w.scalar) for w in (w1, w2))
+        s1, s2 = (literal_text(ONE / w.scalar) for w in (w1, w2))
         product = (s1, v, dom, a1, src1, a1, dom, v + "'", s2, ran, a2, src2, a2, ran)
         return ["prefixalg certificate v1", rec.to_line(), *block1, *block2,
                 "product " + " * ".join(product), f"claim {ran}"]
@@ -442,7 +442,7 @@ def check_state_vanishes(
     result of `vanishing_witness` for these arguments passes it as `trace`
     so that it is not built again.
     """
-    if tuple(rho.support_set(prot.horizon)) != prot.tuples:
+    if not rho.is_support(prot.horizon, prot.tuples):
         raise WitnessError(
             "the supplied state does not generate the protection's tuples "
             "at its horizon"
@@ -486,6 +486,11 @@ class VerifyReport(Value):
 
 
 def _parse_scalar(text: str) -> Scalar:
+    """The scalar text prints; other text is read by the descent, which
+    words its refusal."""
+    scalar = read_scalar(text)
+    if scalar is not None:
+        return scalar
     p = eval_expr(parse_expr(text))
     if not p:
         return Scalar(0)

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps program names it looks up in class and
 module dictionaries, so renaming or deleting one breaks every traced run."""
 
+import re
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +48,9 @@ def test_tracer_installs_and_uninstalls_on_the_package():
 
 def test_tracer_sees_the_certificate_text_layers():
     # A change that routes the text path around a wrapped name would zero
-    # its layer in every traced run; here it fails instead.
+    # its layer in every traced run; here it fails instead. A genuine
+    # certificate is read in one pass; a scalar field spelled another way
+    # goes through the descent and its evaluation.
     tracer = load_tracer().Tracer()
     tracer.install(prefixalg)
     try:
@@ -59,6 +62,9 @@ def test_tracer_sees_the_certificate_text_layers():
         w2 = wit.ideal_projection_witness(reg, q2, SequenceDesc((2,), 0))
         text = wit.primeness_witness(reg, w1, w2).to_text()
         assert wit.verify_certificate_text(text, reg).ok
+        respelled = re.sub(r"^scalar (.*)$", r"scalar (\1)", text, count=1, flags=re.M)
+        assert respelled != text
+        assert not wit.verify_certificate_text(respelled, reg).ok
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(ops=1)

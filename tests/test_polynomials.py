@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, strategies as st
 
 import pytest
 
+from prefixalg import polynomials
 from prefixalg.cylinders import SequenceDesc
 from prefixalg.monomials import V, act
 from prefixalg.polynomials import (
@@ -289,6 +291,10 @@ def test_support_set_slices_one_head_per_point():
             assert rho.is_support(horizon, support)
             for wrong in (support[:-1], support[1:], support + support[-1:], support[::-1]):
                 assert not rho.is_support(horizon, wrong) or wrong == support
+        for horizon in (0, -1):
+            for call in (lambda: rho.support_set(horizon), lambda: rho.is_support(horizon, ())):
+                with pytest.raises(ValueError, match="max_len must be at least 1"):
+                    call()
 
 
 def test_support_set_is_exactly_where_mass_sits():
@@ -621,6 +627,131 @@ def test_block_psd_with_denominators_matches_dense_oracle():
     # Gram factors over 1..6 denominators: each block is cleared of them
     # by its lcm before the integer elimination.
     check_blocks_against_dense_oracle(random.Random(6), 80, denominators=range(1, 7))
+
+
+def test_two_by_two_blocks_match_dense_oracle():
+    """Every Hermitian [[x, z], [conj(z), y]] on a grid of diagonals and
+    off-diagonal entries (a + b*i)/d: the closed-form verdict agrees with
+    `dense_psd`, including singular blocks and a zero diagonal beside a
+    nonzero off-diagonal entry. A zero z splits the block into two 1x1s."""
+    diagonals = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    offs = {Scalar(Fraction(a, d), Fraction(b, d)) for a, b in product((-1, 0, 1), repeat=2)
+            for d in (1, 2, 3)}
+    seen = set()
+    for x, y, z in product(diagonals, diagonals, offs):
+        matrix = dense_matrix([[x, z], [z.conjugate(), y]])
+        verdict = matrix.is_positive_semidefinite()
+        assert verdict == dense_psd(matrix.rows), (x, y, z)
+        if z and x * y == z.abs_sq():
+            seen.add(("singular", verdict))
+        if z and 0 in (x, y):
+            seen.add(("zero diagonal", verdict))
+    assert seen == {("singular", True), ("singular", False), ("zero diagonal", False)}
+
+
+def test_carried_rows_give_the_verdict_of_the_rows():
+    """A matrix from `fragment_matrix` carries its rows' nonzero entries. Its
+    verdicts equal those of the same rows built by hand and of `dense_psd`,
+    and the two matrices are equal and hash alike. Hermitian polynomials
+    p + p' give both verdicts; star-squares give PSD ones."""
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(60):
+        level = rng.randint(1, 3)
+        q = Polynomial.zero()
+        for _ in range(rng.randint(1, 6)):
+            n = rng.randint(0, level)
+            q = q + Polynomial.of(
+                V(tuple(rng.randint(0, 3) for _ in range(n)), tuple(rng.randint(0, 3) for _ in range(n))),
+                Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))),
+            )
+        for p in (q.adjoint() * q, q + q.adjoint()):
+            m = p.fragment_matrix(fragment_index([q, p], level))
+            by_hand = FragmentMatrix(index=m.index, rows=m.rows)
+            assert m.nonzeros is not None and by_hand.nonzeros is None
+            assert m.nonzeros == polynomials._nonzeros(m.rows)
+            assert m == by_hand and hash(m) == hash(by_hand)
+            assert m.is_hermitian() and by_hand.is_hermitian()
+            verdict = m.is_positive_semidefinite()
+            assert verdict == by_hand.is_positive_semidefinite() == dense_psd(m.rows)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_carried_rows_drop_entries_that_cancel():
+    # At level 2, V((1);(2)) and V((1,0);(2,0)) both send (1,0) to (2,0).
+    p = Iso((1,), (2,)) - Iso((1, 0), (2, 0))
+    m = p.fragment_matrix(fragment_index([p], 2))
+    tuples = m.index.tuples
+    assert entry(m, (2, 0), (1, 0)) == Scalar(0)
+    assert tuples.index((1, 0)) not in m.nonzeros[tuples.index((2, 0))]
+    assert m.nonzeros == polynomials._nonzeros(m.rows)
+    assert all(c for entries in m.nonzeros for c in entries.values())
+
+
+def reference_index(polys, level):
+    """The closure of the padded tuples under every prefix rewrite of the
+    polynomials' monomials, in both directions and identities included,
+    grown to a fixpoint by trying every rule on every tuple."""
+    labels = set().union(*(p.labels() for p in polys))
+    pad = min(set(range(len(labels) + 1)) - labels)
+    rules = {r for p in polys for m in p.terms for r in ((m.dom, m.ran), (m.ran, m.dom))}
+    closed = {t + (pad,) * (level - len(t)) for src, dst in rules for t in (src, dst)}
+    while True:
+        grown = closed | {dst + t[len(src):] for t in closed for src, dst in rules
+                          if t[:len(src)] == src}
+        if grown == closed:
+            return tuple(sorted(closed)), pad
+        closed = grown
+
+
+def test_fragment_index_matches_reference_closure():
+    rng = random.Random(29)
+    identities = 0
+    for _ in range(80):
+        level = rng.randint(1, 3)
+        polys = []
+        for _ in range(rng.randint(1, 2)):
+            p = Polynomial.zero()
+            for _ in range(rng.randint(1, 6)):
+                n = rng.randint(0, level)
+                dom = tuple(rng.randint(0, 3) for _ in range(n))
+                ran = dom if rng.random() < 0.3 else tuple(rng.randint(0, 3) for _ in range(n))
+                p = p + Polynomial.of(V(dom, ran), Scalar(rng.randint(1, 3)))
+            polys.append(p)
+        identities += sum(m.dom == m.ran for p in polys for m in p.terms)
+        index = fragment_index(polys, level)
+        assert (index.tuples, index.pad) == reference_index(polys, level)
+    assert identities > 0
+
+
+def test_bareiss_sees_only_blocks_of_three_or_more(monkeypatch):
+    """Blocks of one or two indices are judged in closed form; only larger
+    ones reach the elimination."""
+    sizes = []
+    real = polynomials._bareiss_psd
+
+    def spy(nonzeros, block):
+        sizes.append(len(block))
+        return real(nonzeros, block)
+
+    monkeypatch.setattr(polynomials, "_bareiss_psd", spy)
+    small = 0
+    rng = random.Random(31)
+    for _ in range(40):
+        blocks = [random_block(rng, rng.choice(["gram", "pushed", "zero-pivot"])) for _ in range(4)]
+        n = sum(len(b) for b in blocks)
+        rows = [[Scalar(0)] * n for _ in range(n)]
+        offset = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, c in enumerate(row):
+                    rows[offset + i][offset + j] = c
+            offset += len(b)
+        matrix = dense_matrix(rows)
+        small += sum(len(b) <= 2 for b in polynomials._blocks(polynomials._nonzeros(matrix.rows)))
+        assert matrix.is_positive_semidefinite() == dense_psd(matrix.rows)
+    assert small and sizes and min(sizes) >= 3
 
 
 def test_fragment_matrix_text():

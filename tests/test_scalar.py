@@ -9,9 +9,10 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from prefixalg.expr import eval_expr, poly_text
+from prefixalg.expr import ScalarLit, eval_expr, poly_text
 from prefixalg.parser import parse_expr
-from prefixalg.polynomials import Polynomial, Scalar
+from prefixalg.polynomials import Polynomial, Scalar, read_scalar
+from prefixalg.witnesses import _parse_scalar
 
 BIG = 10**40
 
@@ -130,6 +131,26 @@ def test_text_matches_fraction_text(x):
     else:
         assert text == f"({reference_text(re, im)}) * P((1))"
     assert poly_text(eval_expr(parse_expr(text))) == text
+
+
+@CHECKS
+@given(pairs)
+def test_printed_scalar_reads_back_in_one_pass(x):
+    """`read_scalar` takes every print to the scalar the descent reads."""
+    u = Scalar(*x)
+    text = u.to_text()
+    assert read_scalar(text) == _parse_scalar(text) == u
+    assert eval_expr(parse_expr(text)) == eval_expr(ScalarLit(u))
+
+
+def test_read_scalar_refuses_every_other_spelling():
+    """Text that is not exactly a scalar's print is refused, so a witness's
+    scalar field still goes to the descent, which words any error."""
+    for text in ["", " 1", "1 ", "+1", "-0", "01", "0/1", "1/1", "2/4", "1/0", "1/", "/2",
+                 "1/2/3", "1/-2", "-1/-2i", "1/+2", "--1", "1+", "+i", "1i", "0i", "-1i", "1+0i", "1+1i", "-1/2+-i",
+                 "i+1", "(1)", "1_0", "\u0663", "1" * 5000, "1" * 4000 + "/" + "1" * 4000]:
+        assert read_scalar(text) is None, text
+    assert _parse_scalar("2/4") == Scalar(Fraction(1, 2))
 
 
 @CHECKS

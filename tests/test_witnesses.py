@@ -771,10 +771,9 @@ def test_genuine_files_are_read_by_the_one_pass_readers(monkeypatch):
     stricter than its printer fails here: the session, certificates and
     trace that the golden transcript writes and verifies, every producer
     trace, and a session binding zero. No trace or generator line is parsed
-    line by line, no polynomial by the descent, and nothing is linked. The
-    descent reads only a witness's scalar field and the record-line parser
-    only a certificate's generator line: a witness block and a certificate
-    are held to read back as a whole."""
+    line by line, no polynomial or scalar by the descent, and nothing is
+    linked. The record-line parser reads only a certificate's generator
+    line: a certificate is held to read back as a whole."""
     files = golden_files()
     produced = list(producer_traces())
     zero = Session()
@@ -808,9 +807,7 @@ def test_genuine_files_are_read_by_the_one_pass_readers(monkeypatch):
     for reg, trace in produced:
         assert parse_trace_text(trace.to_text()) == read_trace_lines(trace.to_lines(), 2) == trace
     assert calls["parse_trace_lines"] == calls["link"] == 0
-    scalars = {line[len("scalar "):] for text in files.values() for line in text.splitlines()
-               if line.startswith("scalar ")}
-    assert descended and set(descended) <= scalars
+    assert descended == []
     generators = [line for line in record_lines if line.startswith("generator")]
     assert generators == [files[name].splitlines()[1] for name in ("cert.txt", "cert-complex.txt")]
 
