@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, Optional, Union
 
-from .cylinders import Frozen, SequenceDesc, Tup, format_tuple, member
+from .cylinders import Frozen, SequenceDesc, Tup, format_tuple, member, read_tuple
 
 
 class _Zero:
@@ -171,3 +171,19 @@ def format_monomial(m: Monomial) -> str:
     if m.dom == m.ran:
         return f"P({format_tuple(m.dom)})"
     return f"V({format_tuple(m.dom)};{format_tuple(m.ran)})"
+
+
+def read_monomial(text: str) -> Optional[V]:
+    """The monomial m with `format_monomial(m) == text`, or None; zero's
+    "0" is not read. Every one-pass reader of printed text holds a
+    monomial to this rule."""
+    if text[-1:] == ")":
+        if text[:2] == "P(":
+            t = read_tuple(text[2:-1])
+            return None if t is None else _v(t, t)
+        if text[:2] == "V(":
+            dom, _, ran = text[2:-1].partition(";")
+            dom, ran = read_tuple(dom), read_tuple(ran)
+            if dom is not None and ran is not None and dom != ran and len(dom) == len(ran):
+                return _v(dom, ran)
+    return None

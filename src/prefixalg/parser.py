@@ -27,13 +27,11 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .cylinders import read_tuple
 from .expr import (
-    Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, _negative, eval_expr, expr_to_word, literal_text,
-    poly_text,
+    Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, _negative, eval_expr, expr_to_word, poly_text,
 )
-from .monomials import V, Monomial
-from .polynomials import ONE, Polynomial, Scalar, _read_ratio
+from .monomials import V, Monomial, read_monomial
+from .polynomials import ONE, Polynomial, Scalar, read_scalar
 
 
 class ParseError(ValueError):
@@ -227,69 +225,49 @@ class _Parser:
 
 # -- the canonical reader ------------------------------------------------------
 
-_RATIO = r"[0-9]+(?:/[0-9]+)?"
-# The characters of a tuple; `read_tuple` decides whether it is canonical.
-_TUPLE = r"(\([0-9,]*\))"
 # One printed term: its sign (none or "-" first, " + " or " - " after), an
-# optional coefficient literal and " * ", then P(t) or V(t;u). The literal is
-# a positive real, a positive imaginary (its magnitude left out for 1) or a
-# parenthesized general complex number (real part, sign, imaginary magnitude).
-_TERM = re.compile(
-    rf"( [+-] |-?)(?:(({_RATIO})|({_RATIO}|)i|\((-?{_RATIO})([+-])({_RATIO}|)i\)) \* )?"
-    rf"(?:P\({_TUPLE}\)|V\({_TUPLE};{_TUPLE}\))"
-)
+# optional coefficient literal and " * ", then a monomial's characters. The
+# literal is bare, or parenthesized for a general complex number; `read_scalar`
+# and `read_monomial` decide whether what was matched is canonical.
+_TERM = re.compile(r"( [+-] |-?)(?:([0-9/]+i?|i|\([0-9/+\-i]+\)) \* )?([PV]\([0-9,;()]*\))")
 
 
 def _read_canonical(text: str) -> Optional[Polynomial]:
     """The polynomial p with `poly_text(p) == text`, or None when text is not
     such a print (zero's "0" included). Checks, term by term, everything the
-    printer decides: exact separators, labels without leading zeros, terms
-    strictly ascending in `sorted_terms()` order, V only with dom != ran, a
-    coefficient literal exactly as `literal_text` prints it, a coefficient of
-    1 left out, and the sign where `expr._negative` puts it."""
+    printer decides: exact separators, each monomial as `read_monomial` reads
+    it, terms strictly ascending in `sorted_terms()` order, a coefficient
+    literal that `read_scalar` reads, bare for a positive real or imaginary
+    and parenthesized for a general complex number, a coefficient of 1 left
+    out, and the sign where `expr._negative` puts it."""
     terms: dict[V, Scalar] = {}
     pos, end, last = 0, len(text), None
-    try:
-        while pos < end or last is None:
-            match = _TERM.match(text, pos)
-            if match is None:
+    while pos < end or last is None:
+        match = _TERM.match(text, pos)
+        if match is None:
+            return None
+        sign, lit, mono = match.groups()
+        if (last is None) != (len(sign) < 2):  # " + " and " - " only between terms
+            return None
+        m = read_monomial(mono)
+        if m is None:
+            return None
+        key = (len(m.dom), m.dom, m.ran)
+        if last is not None and key <= last:
+            return None
+        if lit is None:
+            c = ONE
+        else:
+            paren = lit[0] == "("
+            c = read_scalar(lit[1:-1] if paren else lit)
+            if c is None or not c or c == ONE or paren != bool(c.a and c.b):
                 return None
-            sign, lit, real, imag, cre, csign, cim, p, dom, ran = match.groups()
-            if (last is None) != (len(sign) < 2):  # " + " and " - " only between terms
+        if "-" in sign:
+            c = -c
+            if not _negative(c):
                 return None
-            if p is not None:
-                dom = ran = read_tuple(p)
-                if dom is None:
-                    return None
-            else:
-                dom, ran = read_tuple(dom), read_tuple(ran)
-                if dom is None or ran is None or dom == ran or len(dom) != len(ran):
-                    return None
-            key = (len(dom), dom, ran)
-            if last is not None and key <= last:
-                return None
-            if lit is None:
-                c = ONE
-            else:
-                if real is not None:
-                    (a, d), (b, e) = _read_ratio(real), (0, 1)
-                elif imag is not None:
-                    (a, d), (b, e) = (0, 1), _read_ratio(imag or "1")
-                else:
-                    (a, d), (b, e) = _read_ratio(cre), _read_ratio(csign + (cim or "1"))
-                if not d or not e:
-                    return None
-                c = Scalar.ratio(a * e, b * d, d * e)
-                if not c or c == ONE or literal_text(c) != lit:
-                    return None
-            if "-" in sign:
-                c = -c
-                if not _negative(c):
-                    return None
-            terms[V(dom, ran)] = c
-            pos, last = match.end(), key
-    except ValueError:  # more digits than the interpreter converts
-        return None
+        terms[m] = c
+        pos, last = match.end(), key
     out = Polynomial()
     out.terms = terms
     return out

@@ -8,15 +8,21 @@ is an algebraic identity, so there are no tolerances anywhere in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd as _gcd, lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-from .cylinders import Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member
+from .cylinders import (
+    Frozen, SequenceDesc, Tup, extends, format_seqdesc, format_tuple, member, parse_natural,
+    parse_seqdesc_text,
+)
 from .monomials import V, ZERO, Monomial, act, adjoint, format_monomial, multiply
 
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    RationalLike = Union[int, Fraction]
+    ScalarLike = Union["Scalar", int, Fraction]
 
 
 class Scalar(Frozen):
@@ -27,10 +33,10 @@ class Scalar(Frozen):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re: RationalLike, im: RationalLike = 0) -> None:
-        if type(re) is not int and type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not int and type(im) is not Fraction:
-            im = Fraction(im)
+        if type(re) is not int or type(im) is not int:
+            from fractions import Fraction
+
+            re, im = Fraction(re), Fraction(im)
         p, q = re.denominator, im.denominator
         _set_a(self, re.numerator * q)
         _set_b(self, im.numerator * p)
@@ -58,12 +64,20 @@ class Scalar(Frozen):
         # The constructor takes the two parts, not the triple.
         return Scalar, (self.re, self.im)
 
+    # The two parts as Fractions, for callers that already hold Fractions;
+    # nothing in the package reads them, so they import `fractions` only
+    # when called.
+
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.b, self.d)
 
     @staticmethod
@@ -72,9 +86,7 @@ class Scalar(Frozen):
             return value
         if type(value) is int:
             return _raw(value, 0, 1)
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        return _raw(value.numerator, 0, value.denominator)
+        return Scalar(value)
 
     @staticmethod
     def ratio(a: int, b: int, d: int) -> "Scalar":
@@ -131,9 +143,6 @@ class Scalar(Frozen):
     def conjugate(self) -> "Scalar":
         return _raw(self.a, -self.b, self.d)
 
-    def abs_sq(self) -> Fraction:
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
@@ -154,8 +163,6 @@ class Scalar(Frozen):
     def __repr__(self) -> str:
         return f"Scalar({self.to_text()})"
 
-
-ScalarLike = Union[Scalar, int, Fraction]
 
 # The slot descriptors write a field past the class's refusing __setattr__.
 _new_object = object.__new__
@@ -736,27 +743,28 @@ def _bareiss_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
 class DiagonalState:
     """A finite rational mixture of basis vector states.
 
-    Weights are positive rationals summing to one and the described points
-    are pairwise distinct, so evaluation against any polynomial is exact.
+    Weights are positive rational Scalars summing to one and the described
+    points are pairwise distinct, so evaluation against any polynomial is
+    exact.
     """
 
     __slots__ = ("points",)
 
-    def __init__(self, points: Iterable[tuple[SequenceDesc, RationalLike]]):
-        cleaned: list[tuple[SequenceDesc, Fraction]] = []
+    def __init__(self, points: Iterable[tuple[SequenceDesc, ScalarLike]]):
+        cleaned: list[tuple[SequenceDesc, Scalar]] = []
         seen: set[SequenceDesc] = set()
-        total = Fraction(0)
+        total = _ZERO_SCALAR
         for x, w in points:
-            w = Fraction(w)
-            if w <= 0:
-                raise ValueError(f"state weights must be positive, got {w}")
+            w = Scalar.of(w)
+            if w.b or w.a <= 0:
+                raise ValueError(f"state weights must be positive, got {w.to_text()}")
             if x in seen:
                 raise ValueError(f"duplicate support point {format_seqdesc(x)}")
             seen.add(x)
             cleaned.append((x, w))
-            total += w
-        if total != 1:
-            raise ValueError(f"state weights must sum to 1, got {total}")
+            total = total + w
+        if total != ONE:
+            raise ValueError(f"state weights must sum to 1, got {total.to_text()}")
         self.points = tuple(cleaned)
 
     def evaluate(self, p: Polynomial) -> Scalar:
@@ -768,7 +776,7 @@ class DiagonalState:
     def mass(self, t: Tup) -> Scalar:
         """The weight of the points in the cylinder of t: exactly
         `evaluate(Polynomial.projection(t))`."""
-        return Scalar.of(sum(w for x, w in self.points if member(x, t)))
+        return sum((w for x, w in self.points if member(x, t)), _ZERO_SCALAR)
 
     def support_set(self, max_len: int) -> list[Tup]:
         """All tuples of length 1..max_len whose cylinder carries mass: the
@@ -798,27 +806,18 @@ class DiagonalState:
             yield tuple(sorted(set(heads)))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DiagonalState) and sorted(
-            self.points, key=_point_key
-        ) == sorted(other.points, key=_point_key)
+        return isinstance(other, DiagonalState) and dict(self.points) == dict(other.points)
 
     def __repr__(self) -> str:
         return f"DiagonalState({format_state(self)})"
 
 
-def _point_key(pw: tuple[SequenceDesc, Fraction]):
-    x, w = pw
-    return (x.prefix, x.tail, w)
-
-
 def format_state(rho: DiagonalState) -> str:
-    return ";".join(f"{w}@{format_seqdesc(x)}" for x, w in rho.points)
+    return ";".join(f"{w.to_text()}@{format_seqdesc(x)}" for x, w in rho.points)
 
 
 def parse_state_text(text: str) -> DiagonalState:
     """Parse `1/2@(1,2)/0;1/2@(3)/7`: points with `n` or `n/d` weights summing to 1."""
-    from .cylinders import parse_natural, parse_seqdesc_text
-
     points = []
     for item in text.strip().split(";"):
         weight_text, sep, point_text = item.partition("@")
@@ -826,8 +825,10 @@ def parse_state_text(text: str) -> DiagonalState:
             raise ValueError(f"malformed state item {item!r} (expected weight@point)")
         num, slash, den = weight_text.strip().partition("/")
         try:
-            w = Fraction(parse_natural(num), parse_natural(den) if slash else 1)
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = parse_natural(num), parse_natural(den) if slash else 1
+            if not d:
+                raise ValueError("zero denominator")
+        except ValueError as exc:
             raise ValueError(f"malformed state weight {weight_text!r}") from exc
-        points.append((parse_seqdesc_text(point_text), w))
+        points.append((parse_seqdesc_text(point_text), Scalar.ratio(n, 0, d)))
     return DiagonalState(points)

@@ -7,7 +7,6 @@ seed yields byte-identical output; failures carry enough detail to replay.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable
 
 from .cylinders import SequenceDesc, Tup, Value
@@ -79,14 +78,14 @@ def rand_fresh_point(rng: random.Random, word: list[Monomial], max_len: int = 5)
 
 
 def rand_scalar(rng: random.Random) -> Scalar:
-    def part() -> Fraction:
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    def part() -> tuple[int, int]:
+        return rng.randint(-3, 3), rng.randint(1, 4)
 
-    re = part()
-    im = part() if rng.random() < 0.4 else Fraction(0)
-    if re == 0 and im == 0:
-        re = Fraction(1)
-    return Scalar(re, im)
+    a, d = part()
+    b, e = part() if rng.random() < 0.4 else (0, 1)
+    if not a and not b:
+        a = d = 1
+    return Scalar.ratio(a * e, b * d, d * e)
 
 
 def rand_polynomial(
@@ -105,7 +104,7 @@ def rand_state(rng: random.Random, max_points: int = 4, max_len: int = 4, max_la
         x = SequenceDesc(rand_tuple(rng, max_len, max_label), rng.randint(0, max_label))
         points.setdefault(x, rng.randint(1, 5))
     total = sum(points.values())
-    return DiagonalState([(x, Fraction(w, total)) for x, w in points.items()])
+    return DiagonalState([(x, Scalar.ratio(w, 0, total)) for x, w in points.items()])
 
 
 # -- suites -------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .monomials import (
     is_projection,
     multiply,
     normal_form,
+    read_monomial,
 )
 from .parser import parse_expr, parse_word, reprint_polynomial
 from .polynomials import ONE, DiagonalState, Polynomial, Scalar, read_scalar
@@ -656,20 +657,6 @@ _FINAL_KEYS = ("carrier=", "depth=")
 _CASE_NAMES = frozenset(CASES)
 
 
-def _read_factor(text: str) -> Optional[V]:
-    """The monomial m with `format_monomial(m) == text`, or None."""
-    if text[-1:] == ")":
-        if text[:2] == "P(":
-            t = read_tuple(text[2:-1])
-            return None if t is None else V(t, t)
-        if text[:2] == "V(":
-            dom, _, ran = text[2:-1].partition(";")
-            dom, ran = read_tuple(dom), read_tuple(ran)
-            if dom is not None and ran is not None and dom != ran and len(dom) == len(ran):
-                return V(dom, ran)
-    return None
-
-
 def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
     """The trace whose `to_lines()` are exactly these lines, or None for
     any other lines. Checks, field by field, everything the printer
@@ -687,7 +674,7 @@ def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
         return None
     word = []
     for text in word_line[5:].split("|"):
-        m = _read_factor(text)
+        m = read_monomial(text)
         if m is None:
             return None
         word.append(m)

@@ -255,6 +255,54 @@ def test_console_entry_in_separate_process(tmp_path):
     assert done.stdout.strip() == "verified ok"
 
 
+# Run in a fresh interpreter, since pytest and hypothesis load these modules
+# themselves. Prints the stages after which any of them was loaded.
+_IMPORT_GRAPH_CHILD = """
+import io, sys
+from prefixalg.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    assert main(["--session", sys.argv[1], *argv], out=out) == 0, argv
+    return out.getvalue()
+
+def loaded(stage):
+    held = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+    if held:
+        print(stage, *held)
+
+loaded("import")
+run("register-state", "1/3@(5)/0;2/3@(5,2)/7", "4")
+loaded("register-state")
+fields = dict(f.split("=") for f in run("link", "(0)", "(6)").split()[1:])
+assert run("audit").strip() == "ok"
+loaded("audit")
+text = run("lemma2", "0", "V(%s;%s) P((0))" % (fields["dom"], fields["ran"]))
+assert "state-value 0" in text, text
+loaded("lemma2")
+run("prime-witness", "(1/2+i) P((1))", "(1)/0", "P((2))", "(2)/0", "--bind", "c")
+run("show", "c_w1")
+loaded("prime-witness")
+"""
+
+
+def test_commands_leave_fractions_unloaded(tmp_path):
+    """Neither importing the CLI, nor a state's registration, a session
+    load and audit, lemma2 on a protection with a state, or a bound
+    witness loads `fractions`, `decimal` or `numbers`."""
+    import prefixalg
+
+    src = str(Path(prefixalg.__file__).parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_CHILD, str(tmp_path / "s.txt")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
+
+
 def test_let_and_show(tmp_path):
     session = str(tmp_path / "s.txt")
     code, _ = run("--session", session, "let", "q", "1/2 P((1)) + 1/2 P((2))")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from prefixalg.monomials import (
     multiply,
     normal_form,
     projection,
+    read_monomial,
 )
 
 labels = st.integers(min_value=0, max_value=4)
@@ -127,6 +129,23 @@ def test_format_monomial():
     assert format_monomial(ZERO) == "0"
     assert format_monomial(V((1,), (1,))) == "P((1))"
     assert format_monomial(V((1,), (2,))) == "V((1);(2))"
+
+
+def test_read_monomial_reads_back_the_print():
+    rng = random.Random("read-monomial")
+    for _ in range(500):
+        n = rng.randint(0, 4)
+        dom = tuple(rng.choice((0, 1, 7, 10, 123)) for _ in range(n))
+        ran = dom if rng.random() < 0.3 else tuple(rng.randint(0, 12) for _ in range(n))
+        m = V(dom, ran)
+        read = read_monomial(format_monomial(m))
+        assert read == m and hash(read) == hash(m)
+
+
+def test_read_monomial_refuses_what_the_printer_never_prints():
+    for text in ("V((1);(1))", "V((1);(1,2))", "P((01))", "P((1,))", "P(1)", "V((1),(2))",
+                 "0", ""):
+        assert read_monomial(text) is None, text
 
 
 # -- exhaustive associativity over a tiny universe ---------------------------

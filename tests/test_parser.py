@@ -318,6 +318,15 @@ def edit(rng, text):
     return "".join(chars)
 
 
+# Coefficient literals near the printed ones: parenthesized or signed where
+# the printer writes them bare, or written in a longer form. The printer
+# parenthesizes only a general complex literal.
+LITERAL_CASES = [
+    "(-12i) * P(())", "(-3) * P((1))", "(3) * P((1))", "(i) * P(())", "1/2+i * P(())",
+    "(1/2+1i) * P(())", "2/4 * P(())", "1i * P(())", "- (1/2+i) * P(())", "-(-1/2+i) * P(())",
+]
+
+
 def test_canonical_reader_equals_parse_print_compare_on_edited_texts():
     rng = random.Random("canonical-edits")
     texts = [poly_text(p) for p in (P(()), P((1,)).scale(Scalar(0, -1)),
@@ -331,7 +340,7 @@ def test_canonical_reader_equals_parse_print_compare_on_edited_texts():
         texts.extend(fields)
     edited = {edit(rng, rng.choice(texts)) for _ in range(6000)}
     accepted = refused = 0
-    for text in texts + ["0"] + sorted(edited - set(texts) - {"0"}):
+    for text in texts + LITERAL_CASES + ["0"] + sorted(edited - set(texts) - {"0"}):
         tree = descent(text)
         if tree is None:
             with pytest.raises(ParseError):

@@ -32,6 +32,11 @@ def poly(*terms):
     return out
 
 
+def abs_sq(s):
+    """|s|^2 from the triple: (a^2 + b^2) / d^2."""
+    return Fraction(s.a * s.a + s.b * s.b, s.d * s.d)
+
+
 # -- scalars -------------------------------------------------------------------
 
 
@@ -43,7 +48,7 @@ def test_scalar_arithmetic():
                            Fraction(1, 2) * Fraction(1, 4) + Fraction(3, 4) * Fraction(-1))
     assert (a / b) * b == a
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).re == a.abs_sq()
+    assert (a * a.conjugate()).re == abs_sq(a)
 
 
 def test_scalar_text():
@@ -316,6 +321,51 @@ def test_state_text_round_trip():
     assert parse_state_text(format_state(rho)) == rho
 
 
+def test_state_weights_are_scalars_whatever_they_were_given_as():
+    x, y = SequenceDesc((1, 2), 0), SequenceDesc((3,), 7)
+    states = [
+        DiagonalState([(x, 1)]),
+        DiagonalState([(x, Fraction(1))]),
+        DiagonalState([(x, Scalar(1))]),
+    ]
+    for rho in states:
+        assert [w.__class__ for _, w in rho.points] == [Scalar]
+        assert rho == states[0]
+    third = Fraction(1, 3)
+    a = DiagonalState([(x, third), (y, Scalar.ratio(2, 0, 3))])
+    b = DiagonalState([(y, Fraction(2, 3)), (x, Scalar.of(third))])
+    assert a == b and a.points != b.points
+    assert a != DiagonalState([(x, Fraction(2, 3)), (y, third)])
+    assert format_state(a) == "1/3@(1,2)/0;2/3@(3)/7"
+
+
+def test_state_text_and_mass_on_seeded_states():
+    rng = random.Random("state-weights")
+    for _ in range(200):
+        points = {
+            SequenceDesc(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))),
+                         rng.randint(0, 3)): rng.randint(1, 6)
+            for _ in range(rng.randint(1, 4))
+        }
+        total = sum(points.values())
+        rho = DiagonalState([(x, Fraction(w, total)) for x, w in points.items()])
+        assert parse_state_text(format_state(rho)) == rho
+        for t in [(), (0,), (1, 2), (3, 3, 3)] + [x.head(2) for x in points]:
+            assert rho.mass(t) == rho.evaluate(P(t))
+
+
+def test_state_refusals_keep_their_messages():
+    x = SequenceDesc((1,), 0)
+    with pytest.raises(ValueError, match="^state weights must be positive, got -1$"):
+        DiagonalState([(x, -1), (SequenceDesc((2,), 0), 2)])
+    with pytest.raises(ValueError, match="^state weights must sum to 1, got 1/2$"):
+        DiagonalState([(x, Fraction(1, 2))])
+    with pytest.raises(ValueError, match=r"^duplicate support point \(1\)/0$"):
+        DiagonalState([(x, Fraction(1, 2)), (x, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="^malformed state weight '1/0'$"):
+        parse_state_text("1/0@(1)/0")
+
+
 def test_cauchy_schwarz():
     rng = random.Random(3)
     for _ in range(40):
@@ -339,7 +389,7 @@ def test_cauchy_schwarz():
             )
         total = sum(points.values())
         rho = DiagonalState([(x, Fraction(w, total)) for x, w in points.items()])
-        lhs = rho.evaluate(p).abs_sq()
+        lhs = abs_sq(rho.evaluate(p))
         rhs = rho.evaluate(P(b)) * rho.evaluate(p.adjoint() * p)
         assert rhs.im == 0
         assert lhs <= rhs.re
@@ -642,7 +692,7 @@ def test_two_by_two_blocks_match_dense_oracle():
         matrix = dense_matrix([[x, z], [z.conjugate(), y]])
         verdict = matrix.is_positive_semidefinite()
         assert verdict == dense_psd(matrix.rows), (x, y, z)
-        if z and x * y == z.abs_sq():
+        if z and x * y == abs_sq(z):
             seen.add(("singular", verdict))
         if z and 0 in (x, y):
             seen.add(("zero diagonal", verdict))

@@ -72,7 +72,7 @@ def test_arithmetic_matches_pairs(x, y):
     assert pair(u * v) == (p * r - q * s, p * s + q * r)
     assert pair(-u) == (-p, -q)
     assert pair(u.conjugate()) == (p, -q)
-    assert u.abs_sq() == p * p + q * q
+    assert Fraction(u.a * u.a + u.b * u.b, u.d * u.d) == p * p + q * q
     assert bool(u) == (p != 0 or q != 0)
     n = r * r + s * s
     if n:
