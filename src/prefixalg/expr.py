@@ -12,7 +12,7 @@ from typing import Union
 
 from .cylinders import Frozen, Tup, format_tuple
 from .monomials import V, Monomial, adjoint as monomial_adjoint, format_monomial
-from .polynomials import ONE, Polynomial, Scalar, add_into
+from .polynomials import ONE, Polynomial, Scalar, _poly, add_into
 
 
 class ScalarLit(Frozen):
@@ -64,21 +64,15 @@ class Sum(Frozen):
 Expr = Union[ScalarLit, Proj, Iso, Adj, Product, Sum, Polynomial]
 
 
-def _leaf(m: V, c: Scalar) -> Polynomial:
-    out = Polynomial()
-    out.terms = {m: c}
-    return out
-
-
 def eval_expr(e: Expr) -> Polynomial:
     if isinstance(e, Polynomial):
         return e
     if isinstance(e, ScalarLit):
-        return _leaf(V((), ()), e.value) if e.value else Polynomial()
+        return _poly({V((), ()): e.value}) if e.value else Polynomial()
     if isinstance(e, Proj):
-        return _leaf(V(e.tup, e.tup), ONE)
+        return _poly({V(e.tup, e.tup): ONE})
     if isinstance(e, Iso):
-        return _leaf(V(e.dom, e.ran), ONE)
+        return _poly({V(e.dom, e.ran): ONE})
     if isinstance(e, Adj):
         return eval_expr(e.inner).adjoint()
     if isinstance(e, Product):
@@ -99,9 +93,7 @@ def eval_expr(e: Expr) -> Polynomial:
         res: dict[V, Scalar] = {}
         for sign, term in e.terms:
             add_into(res, eval_expr(term).terms, sign < 0)
-        out = Polynomial()
-        out.terms = res
-        return out
+        return _poly(res)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -31,7 +31,7 @@ from .expr import (
     Adj, Expr, Iso, Product, Proj, ScalarLit, Sum, _negative, eval_expr, expr_to_word, poly_text,
 )
 from .monomials import V, Monomial, read_monomial
-from .polynomials import ONE, Polynomial, Scalar, read_scalar
+from .polynomials import ONE, Polynomial, Scalar, _poly, read_scalar
 
 
 class ParseError(ValueError):
@@ -268,9 +268,7 @@ def _read_canonical(text: str) -> Optional[Polynomial]:
                 return None
         terms[m] = c
         pos, last = match.end(), key
-    out = Polynomial()
-    out.terms = terms
-    return out
+    return _poly(terms)
 
 
 def parse_expr(text: str) -> Expr:

@@ -61,8 +61,8 @@ class Scalar(Frozen):
         return hash((self.a, self.b, self.d))
 
     def __reduce__(self) -> tuple:
-        # The constructor takes the two parts, not the triple.
-        return Scalar, (self.re, self.im)
+        # Rebuilt from the triple, so a copy or pickle imports no `fractions`.
+        return Scalar.ratio, (self.a, self.b, self.d)
 
     # The two parts as Fractions, for callers that already hold Fractions;
     # nothing in the package reads them, so they import `fractions` only
@@ -277,7 +277,7 @@ class Polynomial:
     @staticmethod
     def unit() -> "Polynomial":
         """The projection of the empty tuple: the identity on the fragment."""
-        return Polynomial({V((), ()): ONE})
+        return _poly({V((), ()): ONE})
 
     @staticmethod
     def of(m: Monomial, coeff: ScalarLike = ONE) -> "Polynomial":
@@ -298,29 +298,32 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         res = dict(self.terms)
         add_into(res, other.terms)
-        out = Polynomial()
-        out.terms = res
-        return out
+        return _poly(res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
             # V(a,b) * V(c,d) is zero unless a and d agree on their common
             # prefix, so a left term with nonempty a meets only the right
             # terms whose d starts with a[0], plus those with empty d.
-            right = [(m.ran, m, c) for m, c in other.terms.items()]
-            by_first, everywhere = _by_first_label(right)
+            right = list(other.terms.items())
+            by_first: dict[int, list[tuple[V, Scalar]]] = {}
+            everywhere: list[tuple[V, Scalar]] = []
+            for term in right:
+                d = term[0].ran
+                if d:
+                    by_first.setdefault(d[0], []).append(term)
+                else:
+                    everywhere.append(term)
             res: dict[V, Scalar] = {}
             for m1, c1 in self.terms.items():
                 a = m1.dom
-                for _, m2, c2 in chain(by_first.get(a[0], ()), everywhere) if a else right:
+                for m2, c2 in chain(by_first.get(a[0], ()), everywhere) if a else right:
                     m = multiply(m1, m2)
                     if m is ZERO:
                         continue
@@ -330,9 +333,7 @@ class Polynomial:
                         res[m] = s
                     else:
                         res.pop(m, None)
-            out = Polynomial()
-            out.terms = res
-            return out
+            return _poly(res)
         return self.scale(other)
 
     def __rmul__(self, other: ScalarLike) -> "Polynomial":
@@ -342,14 +343,10 @@ class Polynomial:
         s = Scalar.of(c)
         if not s:
             return Polynomial()
-        out = Polynomial()
-        out.terms = {m: coeff * s for m, coeff in self.terms.items()}
-        return out
+        return _poly({m: coeff * s for m, coeff in self.terms.items()})
 
     def adjoint(self) -> "Polynomial":
-        out = Polynomial()
-        out.terms = {adjoint(m): c.conjugate() for m, c in self.terms.items()}
-        return out
+        return _poly({adjoint(m): c.conjugate() for m, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -483,19 +480,13 @@ class Polynomial:
         return FragmentMatrix(index=index, rows=tuple(rows), nonzeros=nonzeros)
 
 
-def _by_first_label(rules: Iterable[tuple]) -> tuple[dict[int, list[tuple]], list[tuple]]:
-    """Prefix rules (source tuple first) grouped by the first label of their
-    source; a rule whose source is the empty tuple applies to every tuple
-    and goes in the second, separate list."""
-    by_first: dict[int, list[tuple]] = {}
-    everywhere: list[tuple] = []
-    for rule in rules:
-        src = rule[0]
-        if src:
-            by_first.setdefault(src[0], []).append(rule)
-        else:
-            everywhere.append(rule)
-    return by_first, everywhere
+def _poly(terms: dict[V, Scalar]) -> Polynomial:
+    """The Polynomial with terms already canonical, holding neither the zero
+    monomial nor a zero coefficient: a bare instance whose slot is set
+    directly, without the check of `Polynomial.__init__`."""
+    p = _new_object(Polynomial)
+    p.terms = terms
+    return p
 
 
 class FragmentIndex(Frozen):
@@ -740,6 +731,11 @@ def _bareiss_psd(nonzeros: list[dict[int, Scalar]], block: list[int]) -> bool:
     return True
 
 
+# The bound on `support_set`: k points at horizon H give at most k tuples
+# of each length 1..H, so at most k*H*(H+1)/2 labels.
+MAX_SUPPORT_LABELS = 10**6
+
+
 class DiagonalState:
     """A finite rational mixture of basis vector states.
 
@@ -780,9 +776,17 @@ class DiagonalState:
 
     def support_set(self, max_len: int) -> list[Tup]:
         """All tuples of length 1..max_len whose cylinder carries mass: the
-        tail-completed prefixes of the support points, shortest first."""
+        tail-completed prefixes of the support points, shortest first. A
+        horizon whose support could hold more than MAX_SUPPORT_LABELS labels
+        is refused before any tuple is built."""
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        labels = len(self.points) * max_len * (max_len + 1) // 2
+        if labels > MAX_SUPPORT_LABELS:
+            raise ValueError(
+                f"protection horizon {max_len} would build up to {labels} support "
+                f"labels, above the bound of {MAX_SUPPORT_LABELS}"
+            )
         return [t for level in self._levels(max_len) for t in level]
 
     def is_support(self, max_len: int, tuples: tuple[Tup, ...]) -> bool:

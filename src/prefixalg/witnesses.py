@@ -15,9 +15,11 @@ coordinate avoids everything the protection shields (so the registered state
 annihilates the word), or a report that the word collapses to zero outright.
 
 A certificate verifies by the premises of the ideal argument alone, its
-expressions being derived from its fields and held to read back exactly; a
-trace, read in one pass as exactly what it prints, verifies by re-running the
-induction. Nothing trusts the code that constructed either.
+expressions being derived from its fields and held to read back exactly, so
+its verdict does not rest on the functions that built it, though it shares
+their polynomial arithmetic. A trace, read in one pass as exactly what it
+prints, verifies by re-running the producer's induction (`vanishing_witness`)
+against the registry and comparing, so its verdict rests on that code.
 """
 
 from __future__ import annotations
@@ -530,10 +532,12 @@ def parse_witness_block(lines: list[str], first_line: int) -> tuple[IdealWitness
 def parse_certificate_text(text: str) -> PrimenessCertificate:
     """The certificate a file holds, read by position: header, generator
     record, two witness blocks, then the derived product and claim lines.
-    The whole text must be exactly what the certificate prints."""
+    The whole text must be exactly what the certificate prints, each line
+    ended by one newline."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "prefixalg certificate v1":
         raise ValueError("not a certificate file (bad header)")
+    check_line_breaks(text, lines)
     fields = parse_record_line(lines[1] if len(lines) > 1 else "", 2)
     if fields["_kind"] != "generator":
         raise ValueError("certificate is missing its generator record")
@@ -592,7 +596,7 @@ def verify_certificate_text(text: str, reg: Optional[Registry] = None) -> Verify
     prints, then verify the certificate."""
     try:
         cert = parse_certificate_text(text)
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, RegistryError) as exc:
         return VerifyReport(ok=False, problems=[f"malformed certificate: {exc}"])
     return verify_certificate(cert, reg)
 

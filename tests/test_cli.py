@@ -11,6 +11,7 @@ from prefixalg.monomials import V, projection
 from prefixalg.polynomials import DiagonalState
 from prefixalg.session import Session
 from prefixalg.witnesses import vanishing_witness
+from test_polynomials import refuse_to_read
 
 
 def run(*argv):
@@ -855,6 +856,23 @@ def test_refused_protection_costs_no_more_than_reading_it(tmp_path, capsys, monk
     text = f"prefixalg session v1\nprotection stage=0 horizon=1 tuples={heads} state={points}\n"
     assert session_error(tmp_path, capsys, text)[0] == 0
     assert set(asked) == {1}
+
+
+def test_register_state_refuses_a_horizon_above_the_bound(tmp_path, capsys, monkeypatch):
+    """A horizon whose support could exceed the label bound exits 2 with one
+    error line, reads no coordinate of the state, and leaves the session
+    file as it was."""
+    session = tmp_path / "s.txt"
+    assert run("--session", str(session), "link", "(1)", "(2)")[0] == 0
+    before = session.read_bytes()
+    monkeypatch.setattr(SequenceDesc, "coord", refuse_to_read)
+    capsys.readouterr()
+    assert run("--session", str(session), "register-state", "1@(5)/0", str(10**6)) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: protection horizon 1000000 would build up to 500000500000 support labels, "
+        "above the bound of 1000000\n"
+    )
+    assert session.read_bytes() == before
 
 
 def test_session_witness_binding_errors_name_file_line(tmp_path, capsys):

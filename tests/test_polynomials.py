@@ -8,7 +8,7 @@ import pytest
 
 from prefixalg import polynomials
 from prefixalg.cylinders import SequenceDesc
-from prefixalg.monomials import V, act
+from prefixalg.monomials import V, ZERO, act
 from prefixalg.polynomials import (
     DiagonalState,
     FragmentIndex,
@@ -123,6 +123,13 @@ def test_add_into_keeps_the_dict_canonical():
     assert res == P((3,)).scale(-1).terms
     add_into(res, P((3,)).terms)
     assert res == {}
+
+
+def test_checked_constructor_drops_the_zero_monomial_and_zero_coefficients():
+    m = V((1,), (2,))
+    p = Polynomial({V((3,), (3,)): Scalar(0), m: Scalar(2), ZERO: Scalar(5), V((), ()): Scalar(0, 0)})
+    assert p.terms == {m: Scalar(2)} and p == Iso((1,), (2,)).scale(2)
+    assert not Polynomial({ZERO: Scalar(1)}) and Polynomial.of(ZERO) == Polynomial.zero()
 
 
 def test_ring_laws_random():
@@ -300,6 +307,29 @@ def test_support_set_slices_one_head_per_point():
             for call in (lambda: rho.support_set(horizon), lambda: rho.is_support(horizon, ())):
                 with pytest.raises(ValueError, match="max_len must be at least 1"):
                     call()
+
+
+def refuse_to_read(x, i):
+    """A stand-in for `SequenceDesc.coord` where no label may be read: it
+    fails at once, so a support that is being built stops at its first label."""
+    raise AssertionError(f"coordinate {i} of {x!r} was read")
+
+
+def test_support_set_refuses_a_horizon_above_the_label_bound(monkeypatch):
+    """k points at horizon H may hold k*H*(H+1)/2 labels; above
+    MAX_SUPPORT_LABELS the horizon is refused before any label is read."""
+    assert polynomials.MAX_SUPPORT_LABELS == 10**6
+    one = parse_state_text("1@(5)/0")
+    two = parse_state_text("1/2@(5)/0;1/2@(6)/0")
+    assert len(one.support_set(1413)) == 1413  # 998991 labels
+    monkeypatch.setattr(SequenceDesc, "coord", refuse_to_read)
+    for rho, horizon, labels in [(one, 1414, 1000405), (two, 1000, 1001000), (one, 10**6, 500000500000)]:
+        with pytest.raises(ValueError) as exc:
+            rho.support_set(horizon)
+        assert str(exc.value) == (
+            f"protection horizon {horizon} would build up to {labels} support labels, "
+            f"above the bound of 1000000"
+        )
 
 
 def test_support_set_is_exactly_where_mass_sits():

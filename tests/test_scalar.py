@@ -3,9 +3,13 @@ equality, hashing, text and copying, with parts up to 10**40 over
 denominators up to 10**40, and every result in lowest terms."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +163,31 @@ def test_copy_and_pickle_round_trip(x):
     u = Scalar(*x)
     for back in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
         assert type(back) is Scalar and back == u and lowest(back) == lowest(u)
+
+
+_COPY_CHILD = """
+import copy, pickle, sys
+from prefixalg.polynomials import Scalar
+
+u = Scalar.ratio(6, -4, 8)
+for back in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+    assert type(back) is Scalar and (back.a, back.b, back.d) == (3, -2, 4), back
+print(*[m for m in ("fractions", "decimal", "numbers") if m in sys.modules])
+"""
+
+
+def test_copy_and_pickle_leave_fractions_unloaded():
+    """A copy or pickle round trip of a Scalar rebuilds it from its triple,
+    so a fresh interpreter still has not loaded `fractions`, `decimal` or
+    `numbers` afterwards."""
+    import prefixalg
+
+    src = str(Path(prefixalg.__file__).parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", _COPY_CHILD], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
 
 
 def test_parts_of_any_rational_type():

@@ -219,6 +219,35 @@ def test_equal_but_not_canonical_fields_are_refused():
         assert verify_certificate_text("\n".join(edited) + "\n", reg).problems == [message]
 
 
+def test_certificate_readers_refuse_bad_line_breaks():
+    # The trace readers' rule: each line ends in one newline, or the text
+    # is not what the certificate prints.
+    reg = Registry()
+    w1 = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
+    w2 = ideal_projection_witness(reg, P((2,)), SequenceDesc((2,), 0))
+    text = primeness_witness(reg, w1, w2).to_text()
+    lines = text.splitlines()
+
+    def ended(k, end):
+        """text with line k, counted from 1, ended by `end`."""
+        return "".join(line + (end if i == k else "\n") for i, line in enumerate(lines, start=1))
+
+    cases = [
+        (ended(1, "\r\n"), "line 1 ends in '\\r\\n', not a newline"),
+        (ended(3, "\r"), "line 3 ends in '\\r', not a newline"),
+        (ended(2, "\x0b"), "line 2 ends in '\\x0b', not a newline"),
+        (text[:-1], f"line {len(lines)} does not end in a newline"),
+    ]
+    for edited, problem in cases:
+        assert edited.splitlines() == lines
+        with pytest.raises(RegistryError) as exc:
+            parse_certificate_text(edited)
+        assert str(exc.value) == problem
+        for against in (reg, None):
+            assert verify_certificate_text(edited, against).problems == [f"malformed certificate: {problem}"]
+    assert verify_certificate_text(text, reg)
+
+
 def test_certificate_against_wrong_registry():
     reg = Registry()
     w1 = ideal_projection_witness(reg, P((1,)), SequenceDesc((1,), 0))
@@ -1045,3 +1074,31 @@ def test_zero_word_on_an_unsound_registry_checks_its_carriers():
     assert isinstance(reference_vanishing_witness(reg, unsound, pivot, word), ZeroReport)
     with pytest.raises(SoundnessError, match=r"collides with protected tuple \(6,"):
         vanishing_witness(reg, unsound, pivot, word)
+
+
+def test_carrier_colliding_with_an_early_generator_is_refused_by_all_three_judges():
+    # A generator appended by hand reuses the early generator's fresh label
+    # at depth 2, so the carrier it hands over collides with stage 0.
+    reg = Registry()
+    early = reg.link((3,), (4,))
+    prot = reg.register_protection(one_point_state((5,)), horizon=2)
+    pivot = reg.vanishing_tuple(prot)
+    assert (early.fresh, pivot) == (0, (0,))
+    forged = GeneratorRecord.issue(2, (pivot, (7,)), early.fresh)
+    reg.records.append(forged)
+    assert (forged.dom, forged.ran) == ((0, 0), (7, 0))
+    collision = "carrier coordinate 2 collides with generator stage 0"
+    with pytest.raises(SoundnessError) as exc:
+        vanishing_witness(reg, prot, pivot, [forged.monomial(), projection(pivot)])
+    assert str(exc.value) == collision
+    trace = "\n".join([
+        TRACE_HEADER,
+        "prot 1",
+        "pivot (0)",
+        "word V((0,0);(7,0))|P((0))",
+        "step pos=2 case=base stage=- adjoint=0 carrier=(0)",
+        "step pos=1 case=late-dominates stage=2 adjoint=0 carrier=(7,0)",
+        "final carrier=(7,0) depth=2",
+    ]) + "\n"
+    assert verify_trace_text(trace, reg).problems == [f"re-derivation failed: {collision}"]
+    assert audit_records(reg.records) == ["stage 2: fresh reuses generator label 0 at coordinate 2"]
