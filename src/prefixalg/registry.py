@@ -58,10 +58,14 @@ class GeneratorRecord(Frozen):
         """
         req_dom, req_ran = requested
         n = _depth(requested)
-        return GeneratorRecord(
-            stage=stage, n=n, dom=req_dom + (fresh,) * (n - len(req_dom)),
-            ran=req_ran + (fresh,) * (n - len(req_ran)), requested=requested, fresh=fresh,
-        )
+        rec = _new_object(GeneratorRecord)
+        _set_stage(rec, stage)
+        _set_n(rec, n)
+        _set_dom(rec, req_dom + (fresh,) * (n - len(req_dom)))
+        _set_ran(rec, req_ran + (fresh,) * (n - len(req_ran)))
+        _set_requested(rec, requested)
+        _set_fresh(rec, fresh)
+        return rec
 
     def monomial(self) -> V:
         return V(self.dom, self.ran)
@@ -72,6 +76,14 @@ class GeneratorRecord(Frozen):
             f"req_ran={format_tuple(self.requested[1])} n={self.n} fresh={self.fresh} "
             f"dom={format_tuple(self.dom)} ran={format_tuple(self.ran)}"
         )
+
+
+# The slot descriptors write a field past the class's refusing __setattr__;
+# `issue` builds its record with them.
+_new_object = object.__new__
+_set_stage, _set_n, _set_dom, _set_ran, _set_requested, _set_fresh = [
+    GeneratorRecord.__dict__[name].__set__ for name in GeneratorRecord.__slots__
+]
 
 
 class ProtectionRecord(Frozen):
@@ -125,9 +137,11 @@ class LabelIndex:
     every label is blocked. `stages` maps each issued (dom, ran) pair to its
     generator stages. `records` is the indexed record list, and `lines[k]`
     the line `records[k]` was read from, None when it was not read.
+    `facts(prot)` is what a vanishing walk asks of a protection, computed
+    once per indexed protection and kept until `pop` drops the record.
     """
 
-    __slots__ = ("used", "protected", "free", "stages", "records", "lines")
+    __slots__ = ("used", "protected", "free", "stages", "records", "lines", "_facts")
 
     def __init__(self) -> None:
         self.used: dict[int, dict[int, int]] = {}
@@ -136,6 +150,7 @@ class LabelIndex:
         self.stages: dict[tuple[Tup, Tup], list[int]] = {}
         self.records: list[Record] = []
         self.lines: list[Optional[str]] = []
+        self._facts: dict[int, tuple[Tup, dict[tuple[int, int], Tup]]] = {}
 
     def add(self, rec: Record, line: Optional[str] = None) -> None:
         """Index the next record; `line` is the line it was read from, which
@@ -174,6 +189,8 @@ class LabelIndex:
             self.stages[key].pop()
             if not self.stages[key]:
                 del self.stages[key]
+        else:
+            self._facts.pop(id(rec), None)
 
     def first_use(self, n: int, label: int) -> float:
         """The position of the first generator carrying the label at
@@ -184,6 +201,29 @@ class LabelIndex:
         """The position of the first protection carrying the label at
         coordinate n, or infinity when none does."""
         return self.protected.get(n, {}).get(label, math.inf)
+
+    def facts(self, prot: ProtectionRecord) -> tuple[Tup, dict[tuple[int, int], Tup]]:
+        """The protection's vanishing tuple, and a map from each (coordinate,
+        label) its tuples carry to the first of them that carries it.
+
+        Both are fixed while this index holds this very record at its stage,
+        since the records before it change only by popping it, and are kept
+        under its identity till then. Any other record, such as one edited
+        in place behind the log's tail, is computed anew on each call.
+        """
+        facts = self._facts.get(id(prot))
+        if facts is None:
+            shielded: dict[tuple[int, int], Tup] = {}
+            for c in prot.tuples:
+                for key in enumerate(c, start=1):
+                    shielded.setdefault(key, c)
+            used, stage, label = self.used.get(1, {}), prot.stage, 0
+            while (1, label) in shielded or used.get(label, math.inf) <= stage:
+                label += 1
+            facts = ((label,), shielded)
+            if stage < len(self.records) and self.records[stage] is prot:
+                self._facts[id(prot)] = facts
+        return facts
 
     def least_free(self, n: int) -> int:
         """The least label that no indexed record blocks at coordinate n."""
@@ -248,6 +288,11 @@ class Registry:
                 return rec
         raise KeyError(f"no protection record at stage {stage}")
 
+    def check_owns(self, prot: ProtectionRecord) -> None:
+        """Raise ValueError unless the log holds this protection at its stage."""
+        if prot.stage >= len(self.records) or self.records[prot.stage] != prot:
+            raise ValueError("protection record does not belong to this registry")
+
     def generator_stages_matching(self, m: V) -> tuple[list[int], list[int]]:
         """Stages whose generator equals m, and stages whose adjoint does."""
         stages = self.labels().stages
@@ -286,16 +331,11 @@ class Registry:
 
     def vanishing_tuple(self, prot: ProtectionRecord) -> Tup:
         """The 1-tuple whose first coordinate avoids every generator issued
-        up to the protection and every protected tuple's first coordinate.
+        up to the protection and every protected tuple's first coordinate;
+        the label index computes it once per protection (`LabelIndex.facts`).
         """
-        if prot.stage >= len(self.records) or self.records[prot.stage] != prot:
-            raise ValueError("protection record does not belong to this registry")
-        used, stage = self.labels().used.get(1, {}), prot.stage
-        blocked = {c[0] for c in prot.tuples}
-        label = 0
-        while label in blocked or used.get(label, math.inf) <= stage:
-            label += 1
-        return (label,)
+        self.check_owns(prot)
+        return self.labels().facts(prot)[0]
 
     # -- validation ------------------------------------------------------
 

@@ -24,6 +24,7 @@ against the registry and comparing, so its verdict rests on that code.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Union
 
 from .cylinders import (
@@ -43,6 +44,7 @@ from .monomials import (
     V,
     ZERO,
     Monomial,
+    _v,
     format_monomial,
     is_projection,
     multiply,
@@ -243,6 +245,25 @@ class TraceStep(Frozen):
         )
 
 
+# The slot descriptors write a field past the class's refusing __setattr__.
+_new_object = object.__new__
+_set_position, _set_case, _set_carrier, _set_stage, _set_adjoint = [
+    TraceStep.__dict__[name].__set__ for name in TraceStep.__slots__
+]
+
+
+def _step(position: int, case: str, carrier: Tup, stage: Optional[int], adjoint: bool) -> TraceStep:
+    """TraceStep(position, case, carrier, stage, adjoint): a bare instance
+    whose slots are set directly."""
+    step = _new_object(TraceStep)
+    _set_position(step, position)
+    _set_case(step, case)
+    _set_carrier(step, carrier)
+    _set_stage(step, stage)
+    _set_adjoint(step, adjoint)
+    return step
+
+
 class VanishingTrace(Value):
     """A verified carrier (b, n) for a nonzero word containing the pivot.
 
@@ -298,13 +319,13 @@ class ZeroReport(Value):
 
 
 def _classify_word(
-    reg: Registry, pivot: Tup, word: list[Monomial]
+    index: LabelIndex, pivot: Tup, word: list[Monomial]
 ) -> list[Optional[tuple[list[int], list[int]]]]:
     """Validate every factor; isometries must be registered generators.
     Each factor's (direct, adjoint) issuing stages, None for a projection."""
     if not word:
         raise WitnessError("the word must be non-empty")
-    stages = []
+    stages, issued = [], index.stages
     pivot_proj = V(pivot, pivot)
     has_pivot = False
     for m in word:
@@ -316,7 +337,7 @@ def _classify_word(
         if is_projection(m):
             stages.append(None)
             continue
-        direct, adj = reg.generator_stages_matching(m)
+        direct, adj = issued.get((m.dom, m.ran), []), issued.get((m.ran, m.dom), [])
         if not direct and not adj:
             raise WitnessError(
                 f"factor {format_monomial(m)} is not a registered generator "
@@ -331,20 +352,21 @@ def _classify_word(
 
 
 def _walk(
-    reg: Registry,
-    prot: ProtectionRecord,
+    index: LabelIndex,
+    prot_stage: int,
+    shielded: dict[tuple[int, int], Tup],
     pivot: Tup,
     word: list[Monomial],
     stages: list[Optional[tuple[list[int], list[int]]]],
-) -> tuple[list[TraceStep], Optional[Tup], str]:
+) -> tuple[list[TraceStep], Optional[Tup], str, Optional[Monomial]]:
     """Run the induction from the leftmost pivot leftward, one factor a step.
 
     Each step extends the suffix product by its factor and checks its
-    carrier against it. Returns (steps, final carrier, "") or, at a dead
-    end, (steps, None, reason).
+    carrier against it. Returns (steps, final carrier, "", the whole word's
+    normal form) or, at a dead end, (steps, None, reason, None).
     """
-    anchor = word.index(V(pivot, pivot))
-    carrier, steps, index = pivot, [], reg.labels()
+    anchor = word.index(_v(pivot, pivot))
+    carrier, steps = pivot, []
     for i in range(anchor, -1, -1):
         m, issued, stage = word[i], stages[i], None
         if i == anchor:
@@ -353,42 +375,44 @@ def _walk(
             case = CASE_PROJECTION
         elif len(carrier) > len(m.dom):
             if not extends(carrier, m.dom):
-                return steps, None, f"factor at position {i + 1} misses the carrier cylinder"
+                return steps, None, f"factor at position {i + 1} misses the carrier cylinder", None
             case, stage = CASE_PREFIX_REWRITE, max(issued[0] + issued[1])
             carrier = m.ran + carrier[len(m.dom):]
         else:
-            late = [s for s in issued[0] + issued[1] if s > prot.stage]
+            late = [s for s in issued[0] + issued[1] if s > prot_stage]
             case = CASE_LATE_DOMINATES if late else CASE_EARLY_ORTHOGONAL
             stage = max(late or issued[0] + issued[1])
             carrier = m.ran if late else carrier
         # A generator step is marked adjoint when its stage issued the
         # factor's adjoint rather than the factor itself.
         adjoint = issued is not None and stage not in issued[0]
-        steps.append(TraceStep(i + 1, case, carrier, stage, adjoint))
+        steps.append(_step(i + 1, case, carrier, stage, adjoint))
         suffix = multiply(m, suffix) if i < anchor else normal_form(word[anchor:])
-        _check_carrier(index, prot, carrier, suffix)
+        _check_carrier(index, prot_stage, shielded, carrier, suffix)
         if case == CASE_EARLY_ORTHOGONAL:
             why = "was issued before the protection and cannot meet the carrier"
-            return steps, None, f"factor at position {i + 1} {why}"
-    return steps, carrier, ""
+            return steps, None, f"factor at position {i + 1} {why}", None
+    return steps, carrier, "", suffix
 
 
 def _check_carrier(
-    index: LabelIndex, prot: ProtectionRecord, carrier: Tup, suffix_nf: Monomial
+    index: LabelIndex, prot_stage: int, shielded: dict[tuple[int, int], Tup], carrier: Tup,
+    suffix_nf: Monomial,
 ) -> None:
     """The three claim properties for one carrier, against the registry's
-    label index."""
-    n = len(carrier)
-    if multiply(V(carrier, carrier), suffix_nf) != suffix_nf:
+    label index and the protection's first tuple at each (coordinate,
+    label) (`LabelIndex.facts`)."""
+    n, label = len(carrier), carrier[-1]
+    if multiply(_v(carrier, carrier), suffix_nf) != suffix_nf:
         raise SoundnessError("carrier projection does not absorb the product")
-    first = index.first_use(n, carrier[-1])
-    if first <= prot.stage:
+    first = index.first_use(n, label)
+    if first <= prot_stage:
         raise SoundnessError(f"carrier coordinate {n} collides with generator stage {first}")
-    for c in prot.tuples:
-        if n <= len(c) and c[n - 1] == carrier[-1]:
-            raise SoundnessError(
-                f"carrier coordinate {n} collides with protected tuple {format_tuple(c)}"
-            )
+    c = shielded.get((n, label))
+    if c is not None:
+        raise SoundnessError(
+            f"carrier coordinate {n} collides with protected tuple {format_tuple(c)}"
+        )
 
 
 def vanishing_witness(
@@ -403,15 +427,20 @@ def vanishing_witness(
     case their range tuple takes over as the carrier. A word that collapses
     to zero yields a ZeroReport instead; preconditions raise WitnessError.
     """
+    reg.check_owns(prot)
+    index = reg.labels()
+    vanishing, shielded = index.facts(prot)
     pivot = tuple(pivot)
-    if pivot != reg.vanishing_tuple(prot):
+    if pivot != vanishing:
         raise WitnessError(
             f"pivot {format_tuple(pivot)} is not the vanishing tuple "
             f"of the given protection"
         )
-    steps, carrier, reason = _walk(reg, prot, pivot, word, _classify_word(reg, pivot, word))
+    stages = _classify_word(index, pivot, word)
+    steps, carrier, reason, product = _walk(index, prot.stage, shielded, pivot, word, stages)
     walked = dict(word=tuple(word), pivot=pivot, prot_stage=prot.stage, steps=tuple(steps))
-    if normal_form(word) is ZERO:
+    # A walk that reached the left end has multiplied out the whole word.
+    if (normal_form(word) if product is None else product) is ZERO:
         return ZeroReport(**walked, reason=reason or "the factors multiply to the zero operator")
     if carrier is None:
         # Only a registry edited out of soundness stops a nonzero word.
@@ -656,9 +685,14 @@ def _parse_case(text: str) -> str:
     return text
 
 
-_STEP_KEYS = ("pos=", "case=", "stage=", "adjoint=", "carrier=")
 _FINAL_KEYS = ("carrier=", "depth=")
 _CASE_NAMES = frozenset(CASES)
+_NATURAL = "(?:0|[1-9][0-9]*)"  # a natural number as `str` prints it
+# A step line as `TraceStep.to_line` prints it; its groups are the fields.
+_STEP_LINE = re.compile(
+    rf"step pos=({_NATURAL}) case=({'|'.join(CASES)}) stage=(-|{_NATURAL}) "
+    rf"adjoint=([01]) carrier=\(((?:{_NATURAL}(?:,{_NATURAL})*)?)\)"
+)
 
 
 def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
@@ -683,23 +717,17 @@ def _read_canonical_lines(lines: list[str]) -> Optional[VanishingTrace]:
             return None
         word.append(m)
     steps = []
-    for line in lines[3:-1]:
-        values = record_values(line, "step", _STEP_KEYS)
-        if values is None:
-            return None
-        position, case, stage, adjoint, carrier = values
-        position, carrier = read_natural(position), read_tuple(carrier)
-        if position is None or carrier is None or case not in _CASE_NAMES:
-            return None
-        if adjoint not in ("0", "1"):
-            return None
-        if stage == "-":
-            stage = None
-        else:
-            stage = read_natural(stage)
-            if stage is None:
+    try:
+        for line in lines[3:-1]:
+            match = _STEP_LINE.fullmatch(line)
+            if match is None:
                 return None
-        steps.append(TraceStep(position, case, carrier, stage, adjoint == "1"))
+            position, case, stage, adjoint, labels = match.groups()
+            carrier = tuple(map(int, labels.split(","))) if labels else ()
+            stage = None if stage == "-" else int(stage)
+            steps.append(_step(int(position), case, carrier, stage, adjoint == "1"))
+    except ValueError:  # a number with more digits than `int` converts
+        return None
     final = record_values(lines[-1], "final", _FINAL_KEYS)
     if final is None:
         return None

@@ -365,6 +365,17 @@ def test_vanishing_tuple_negative_stage_is_usage_error(tmp_path, capsys):
     assert err == "error: no protection record at stage -1\n"
 
 
+def test_protection_holding_the_empty_tuple_ends_without_a_traceback(tmp_path, capsys):
+    # A stateless protection line may hold the empty tuple, which begins
+    # with no label; the vanishing tuple skips it as the label index does.
+    session = tmp_path / "s.txt"
+    session.write_text("prefixalg session v1\nprotection stage=0 horizon=1 tuples=() state=-\n")
+    assert run("--session", str(session), "vanishing-tuple", "0") == (0, "(0)\n")
+    code, text = run("--session", str(session), "lemma2", "0", "P((0))")
+    assert code == 0 and text.splitlines()[-1] == "final carrier=(0) depth=1"
+    assert capsys.readouterr().err == ""
+
+
 def test_integer_arguments_take_ascii_digits_only(tmp_path, capsys):
     session = str(tmp_path / "s.txt")
     cases = [

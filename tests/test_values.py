@@ -29,6 +29,8 @@ from prefixalg.witnesses import (
     VanishingTrace,
     VerifyReport,
     ZeroReport,
+    parse_trace_text,
+    vanishing_witness,
 )
 
 REGISTRY = Registry()  # Registry compares by identity, so sessions share one
@@ -147,6 +149,38 @@ def test_constructors_and_repr():
     assert repr(TraceStep(1, "base", (0,))) == (
         "TraceStep(position=1, case='base', carrier=(0,), stage=None, adjoint=False)"
     )
+
+
+def assert_built_alike(raw, built):
+    """A value built raw is the value its constructor builds: equal, hashed
+    and printed alike, and frozen."""
+    assert type(raw) is type(built)
+    assert raw == built and hash(raw) == hash(built) and repr(raw) == repr(built)
+    for name in type(raw).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(raw, name, None)
+        with pytest.raises(AttributeError):
+            delattr(raw, name)
+
+
+def test_raw_builders_build_constructor_values():
+    reg = Registry()
+    prot = reg.register_protection(DiagonalState([(SequenceDesc((5,), 0), 1)]), horizon=2)
+    pivot = reg.vanishing_tuple(prot)
+    rec = reg.link(pivot, (6,))
+    assert_built_alike(rec, GeneratorRecord(
+        stage=rec.stage, n=rec.n, dom=rec.dom, ran=rec.ran, requested=rec.requested,
+        fresh=rec.fresh,
+    ))
+    trace = vanishing_witness(reg, prot, pivot, [rec.monomial(), V(pivot, pivot)])
+    read = parse_trace_text(trace.to_text())
+    assert len(trace.steps) == len(read.steps) == 2
+    for walked, parsed in zip(trace.steps, read.steps):
+        built = TraceStep(
+            walked.position, walked.case, walked.carrier, walked.stage, walked.adjoint
+        )
+        assert_built_alike(walked, built)
+        assert_built_alike(parsed, built)
 
 
 def test_scalar_construction_runs_post_init():

@@ -729,6 +729,27 @@ def near_misses(text):
         yield text.replace(old, new, 1)
 
 
+STEP_FIELD_MISSES = (
+    (r"pos=([0-9])", r"pos=0\1"),
+    (r"stage=([0-9])", r"stage=0\1"),
+    (r"adjoint=[01]", "adjoint=2"),
+    (r"case=[a-z-]+", "case=sideways"),
+    (r"carrier=\([^)]*\)", "carrier=(01)"),
+)
+
+
+def step_line_misses(rng, text):
+    """One step line's fields, each given in turn a value the printer never
+    prints: a leading zero, an adjoint flag other than 0 or 1, an unknown
+    case, a carrier label with a leading zero."""
+    lines = text.split("\n")
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("step ")])
+    for pattern, new in STEP_FIELD_MISSES:
+        edited = re.sub(pattern, new, lines[k], count=1)
+        if edited != lines[k]:
+            yield "\n".join(lines[:k] + [edited] + lines[k + 1:])
+
+
 def test_canonical_trace_reader_equals_parse_print_compare_on_edited_texts():
     rng = random.Random("trace-edits")
     texts = [trace.to_text() for _, trace in producer_traces()][::3]
@@ -736,7 +757,9 @@ def test_canonical_trace_reader_equals_parse_print_compare_on_edited_texts():
     for text in texts:
         edits = [edit_text(rng, text) for _ in range(20)]
         edits = [edit_text(rng, e) if rng.random() < 0.5 else e for e in edits]
-        for edited in edits + list(near_misses(text)):
+        misses = list(step_line_misses(rng, text))
+        outcomes["step misses"] += len(misses)
+        for edited in edits + list(near_misses(text)) + misses:
             want = reference_trace(edited)
             try:
                 got = parse_trace_text(edited)
@@ -747,8 +770,10 @@ def test_canonical_trace_reader_equals_parse_print_compare_on_edited_texts():
                 outcomes["unknown case" if unknown else "refused"] += 1
             else:
                 assert got == want and got.to_text() == edited, edited
+                assert edited not in misses, edited
                 outcomes["taken"] += 1
     assert min(outcomes["taken"], outcomes["unknown case"], outcomes["refused"]) > 20, outcomes
+    assert outcomes["step misses"] >= 4 * len(texts), outcomes
 
 
 def test_non_canonical_trace_texts_keep_their_messages():
@@ -1102,3 +1127,64 @@ def test_carrier_colliding_with_an_early_generator_is_refused_by_all_three_judge
     ]) + "\n"
     assert verify_trace_text(trace, reg).problems == [f"re-derivation failed: {collision}"]
     assert audit_records(reg.records) == ["stage 2: fresh reuses generator label 0 at coordinate 2"]
+
+
+def test_protection_facts_follow_the_record_at_their_stage():
+    # The label index computes a protection's facts once and drops them
+    # with the record, so a log cut back past a protection and grown again
+    # is judged by the records it holds now.
+    reg = Registry()
+    reg.link((1,), (2,))
+    old = reg.register_protection(one_point_state((0, 4)), horizon=2)
+    assert reg.vanishing_tuple(old) == (3,)  # 0 is protected, 1 and 2 are used
+    index = reg.labels()
+    with pytest.raises(SoundnessError, match=r"protected tuple \(0,4\)$"):
+        witnesses._check_carrier(index, old.stage, index.facts(old)[1], (9, 4), projection((9, 4)))
+    del reg.records[:]
+    reg.link((3,), (4,))
+    new = reg.register_protection(one_point_state((7, 5)), horizon=2)
+    assert new.stage == old.stage
+    assert reg.vanishing_tuple(new) == (0,)
+    index = reg.labels()
+    shielded = index.facts(new)[1]
+    assert shielded == {(1, 7): (7,), (2, 5): (7, 5)}
+    witnesses._check_carrier(index, new.stage, shielded, (9, 4), projection((9, 4)))
+    with pytest.raises(SoundnessError, match=r"protected tuple \(7,5\)$"):
+        witnesses._check_carrier(index, new.stage, shielded, (9, 5), projection((9, 5)))
+    word = [projection((0,))]
+    want = reference_vanishing_witness(reg, new, (0,), word)
+    assert vanishing_witness(reg, new, (0,), word) == want
+    with pytest.raises(ValueError):
+        reg.vanishing_tuple(old)
+    # A record the index does not hold is judged afresh on each call.
+    assert index.facts(old)[0] == (1,)  # 3 is used now
+    del reg.records[:]
+    reg.link((1,), (2,))
+    assert reg.labels().facts(old)[0] == (3,)
+
+
+def test_vanishing_witness_scans_the_depth_one_labels_once():
+    # The vanishing tuple is a fact of the protection: however many walks
+    # ask for it, each depth-1 label below it is probed once.
+    reg = Registry()
+    for _ in range(2000):
+        reg.link((), ())  # labels 0..1999 at coordinate 1
+    prot = reg.register_protection(one_point_state((5,)), horizon=1)
+    probes = Counter()
+
+    class CountingLabels(dict):
+        def get(self, label, default=None):
+            probes[label] += 1
+            return dict.get(self, label, default)
+
+    index = reg.labels()
+    index.used[1] = CountingLabels(index.used[1])
+    pivot = reg.vanishing_tuple(prot)
+    assert pivot == (2000,)
+    k = 25
+    traces = [vanishing_witness(reg, prot, pivot, [projection(pivot)]) for _ in range(k)]
+    assert verify_trace_text(traces[0].to_text(), reg).ok
+    # Label 5 is protected, so the scan never asks whether a generator uses it.
+    assert [probes[label] for label in range(2000)] == [int(label != 5) for label in range(2000)]
+    # The pivot's label: once by the scan, then once by each walk's carrier check.
+    assert probes[2000] == 1 + k + 1
